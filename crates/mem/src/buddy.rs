@@ -10,9 +10,21 @@
 //! bulk allocations are served from large contiguous blocks, so consecutive
 //! virtual pages land in consecutive physical frames and the VA→PA delta is
 //! constant across the block (paper §VI, Fig 10).
+//!
+//! ## Free-list representation
+//!
+//! Each order's free list is a vector of block starts plus a dense,
+//! hash-free position index: one `u32` per aligned order-`o` slot of
+//! memory, at `start >> o`, holding the block's vector position plus one
+//! (0 = not free at this order). It is allocated zeroed, so a fresh
+//! allocator over gigabytes stays cheap to build. The index only *locates*
+//! blocks: the vector keeps a hash-indexed set's discipline (`insert`
+//! appends, `pop` takes the last, `remove` moves the last into the hole),
+//! so every list holds its blocks in the same order and every allocation
+//! returns the same block as before. `tests/prep_golden.rs` and the
+//! differential property test below pin this.
 
 use crate::addr::PhysFrameNum;
-use crate::indexed_set::IndexedSet;
 use crate::MemError;
 use sipt_rng::Rng;
 
@@ -78,18 +90,97 @@ impl FrameBitmap {
     }
 
     #[inline]
-    fn set(&mut self, frame: u64) {
-        self.words[(frame / 64) as usize] |= 1 << (frame % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, frame: u64) {
-        self.words[(frame / 64) as usize] &= !(1 << (frame % 64));
-    }
-
-    #[inline]
     fn test(&self, frame: u64) -> bool {
         self.words[(frame / 64) as usize] & (1 << (frame % 64)) != 0
+    }
+
+    /// Set (`set`) or clear the bits of the aligned block `[start, start +
+    /// 2^order)` — whole words for blocks of 64 frames or more, one masked
+    /// word below — returning the first frame whose bit already had that
+    /// value.
+    fn assign_block(&mut self, start: u64, order: u32, set: bool) -> Option<u64> {
+        let first = (start / 64) as usize;
+        let (n_words, mask) = match order {
+            6.. => (1usize << (order - 6), u64::MAX),
+            _ => (1, ((1u64 << (1u32 << order)) - 1) << (start % 64)),
+        };
+        let fill = if set { mask } else { 0 };
+        let mut already = None;
+        for (i, word) in self.words[first..first + n_words].iter_mut().enumerate() {
+            let same = !(*word ^ fill) & mask;
+            if same != 0 && already.is_none() {
+                already = Some((start & !63) + 64 * i as u64 + u64::from(same.trailing_zeros()));
+            }
+            *word = (*word & !mask) | fill;
+        }
+        already
+    }
+}
+
+/// One order's free list: the free block starts in LIFO order, plus a
+/// dense position index (see the module docs).
+#[derive(Debug, Clone)]
+struct FreeList {
+    /// Free block starts. `pop` takes the last; `remove` swap-removes.
+    items: Vec<u64>,
+    /// `pos[start >> order]` is the block's position in `items` plus one;
+    /// 0 means the block is not on this list.
+    pos: Vec<u32>,
+    order: u32,
+}
+
+impl FreeList {
+    /// An empty order-`order` list over `total_frames` frames.
+    fn new(order: u32, total_frames: u64) -> Self {
+        Self { items: Vec::new(), pos: vec![0; (total_frames >> order) as usize], order }
+    }
+
+    #[inline]
+    fn slot(&self, start: u64) -> usize {
+        debug_assert_eq!(start % (1 << self.order), 0, "misaligned order-{} block", self.order);
+        (start >> self.order) as usize
+    }
+
+    /// Whether the block at `start` is on this list. A block reaching past
+    /// the end of managed memory never is.
+    fn contains(&self, start: u64) -> bool {
+        self.pos.get(self.slot(start)).is_some_and(|&p| p != 0)
+    }
+
+    /// Append `start`; returns `false` (and changes nothing) if present.
+    fn insert(&mut self, start: u64) -> bool {
+        let slot = self.slot(start);
+        if self.pos[slot] != 0 {
+            return false;
+        }
+        self.items.push(start);
+        self.pos[slot] = self.items.len() as u32;
+        true
+    }
+
+    /// Remove `start`, moving the last block into its place; returns
+    /// whether it was present.
+    fn remove(&mut self, start: u64) -> bool {
+        let slot = self.slot(start);
+        let p = std::mem::take(&mut self.pos[slot]);
+        if p == 0 {
+            return false;
+        }
+        let last = self.items.pop().expect("index and items in sync");
+        if let Some(hole) = self.items.get_mut(p as usize - 1) {
+            *hole = last;
+            let last_slot = self.slot(last);
+            self.pos[last_slot] = p;
+        }
+        true
+    }
+
+    /// Remove and return the most recently inserted block.
+    fn pop(&mut self) -> Option<u64> {
+        let start = self.items.pop()?;
+        let slot = self.slot(start);
+        self.pos[slot] = 0;
+        Some(start)
     }
 }
 
@@ -106,7 +197,7 @@ impl FrameBitmap {
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
     /// Free lists, indexed by order.
-    free_lists: Vec<IndexedSet>,
+    free_lists: Vec<FreeList>,
     /// Per-frame allocated bit.
     allocated: FrameBitmap,
     total_frames: u64,
@@ -119,11 +210,12 @@ impl BuddyAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `total_frames` is zero.
+    /// Panics if `total_frames` is zero or exceeds `u32::MAX` (16 TiB).
     pub fn new(total_frames: u64) -> Self {
         assert!(total_frames > 0, "allocator must manage at least one frame");
+        assert!(total_frames <= u64::from(u32::MAX), "allocator manages at most 2^32 - 1 frames");
         let mut this = Self {
-            free_lists: (0..=MAX_ORDER).map(|_| IndexedSet::new()).collect(),
+            free_lists: (0..=MAX_ORDER).map(|o| FreeList::new(o, total_frames)).collect(),
             allocated: FrameBitmap::new(total_frames),
             total_frames,
             free_frames: 0,
@@ -168,10 +260,8 @@ impl BuddyAllocator {
     }
 
     fn mark_allocated(&mut self, start: u64, order: u32) {
-        for f in start..start + (1 << order) {
-            debug_assert!(!self.allocated.test(f), "frame {f:#x} allocated twice");
-            self.allocated.set(f);
-        }
+        let twice = self.allocated.assign_block(start, order, true);
+        debug_assert!(twice.is_none(), "frame {:#x} allocated twice", twice.unwrap_or_default());
         self.free_frames -= 1 << order;
     }
 
@@ -207,19 +297,6 @@ impl BuddyAllocator {
         }
         self.mark_allocated(start, order);
         Ok(FrameBlock { start: PhysFrameNum::new(start), order })
-    }
-
-    /// Allocate a specific block, if it is free at exactly that order.
-    /// Used by the page-coloring policy. Returns `None` when the block is
-    /// not on the order-`order` free list.
-    pub fn alloc_exact(&mut self, start: PhysFrameNum, order: u32) -> Option<FrameBlock> {
-        assert!(order <= MAX_ORDER);
-        if self.free_lists[order as usize].remove(start.raw()) {
-            self.mark_allocated(start.raw(), order);
-            Some(FrameBlock { start, order })
-        } else {
-            None
-        }
     }
 
     /// Allocate the specific single frame `frame`, splitting whatever free
@@ -374,9 +451,8 @@ impl BuddyAllocator {
             start + (1u64 << order) <= self.total_frames,
             "freeing block outside managed memory"
         );
-        for f in start..start + (1 << order) {
-            assert!(self.allocated.test(f), "double free of frame {f:#x}");
-            self.allocated.clear(f);
+        if let Some(f) = self.allocated.assign_block(start, order, false) {
+            panic!("double free of frame {f:#x}");
         }
         self.free_frames += 1 << order;
         while order < MAX_ORDER {
@@ -397,7 +473,7 @@ impl BuddyAllocator {
         BuddyStats {
             total_frames: self.total_frames,
             free_frames: self.free_frames,
-            free_blocks_per_order: self.free_lists.iter().map(|l| l.len() as u64).collect(),
+            free_blocks_per_order: self.free_lists.iter().map(|l| l.items.len() as u64).collect(),
         }
     }
 
@@ -413,8 +489,9 @@ impl BuddyAllocator {
         if self.free_frames == 0 {
             return 0.0;
         }
-        let usable: u64 =
-            (j..=MAX_ORDER).map(|i| (1u64 << i) * self.free_lists[i as usize].len() as u64).sum();
+        let usable: u64 = (j..=MAX_ORDER)
+            .map(|i| (1u64 << i) * self.free_lists[i as usize].items.len() as u64)
+            .sum();
         (self.free_frames - usable) as f64 / self.free_frames as f64
     }
 }
@@ -424,6 +501,91 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use sipt_rng::{SeedableRng, StdRng};
+    use std::collections::{HashMap, HashSet};
+
+    /// The hash-indexed set the free lists used before the dense index:
+    /// the oracle for [`FreeList`]'s results and `pop` order.
+    #[derive(Default)]
+    struct HashIndexedSet {
+        items: Vec<u64>,
+        index: HashMap<u64, usize>,
+    }
+
+    impl HashIndexedSet {
+        fn insert(&mut self, value: u64) -> bool {
+            if self.index.contains_key(&value) {
+                return false;
+            }
+            self.index.insert(value, self.items.len());
+            self.items.push(value);
+            true
+        }
+
+        fn remove(&mut self, value: u64) -> bool {
+            match self.index.remove(&value) {
+                None => false,
+                Some(pos) => {
+                    let last = self.items.pop().expect("index and items in sync");
+                    if pos < self.items.len() {
+                        self.items[pos] = last;
+                        self.index.insert(last, pos);
+                    }
+                    true
+                }
+            }
+        }
+
+        fn pop(&mut self) -> Option<u64> {
+            let value = self.items.pop()?;
+            self.index.remove(&value);
+            Some(value)
+        }
+    }
+
+    /// An order-0 free list over `0..n` holding `values`.
+    fn free_list_of(n: u64, values: impl IntoIterator<Item = u64>) -> FreeList {
+        let mut s = FreeList::new(0, n);
+        for v in values {
+            s.insert(v);
+        }
+        s
+    }
+
+    #[test]
+    fn free_list_insert_remove_contains() {
+        let mut s = FreeList::new(0, 4);
+        assert!(s.insert(1));
+        assert!(!s.insert(1));
+        assert!(s.contains(1));
+        assert!(s.remove(1));
+        assert!(!s.remove(1));
+        assert!(s.items.is_empty());
+        // Blocks reaching past managed memory are simply absent.
+        assert!(!FreeList::new(3, 12).contains(8));
+    }
+
+    #[test]
+    fn free_list_swap_remove_keeps_index_consistent() {
+        let mut s = free_list_of(100, 0..100);
+        // Remove from the middle repeatedly; every remaining element must
+        // still be findable.
+        for v in (0..100).step_by(3) {
+            assert!(s.remove(v));
+        }
+        for v in 0..100u64 {
+            assert_eq!(s.contains(v), v % 3 != 0);
+        }
+    }
+
+    #[test]
+    fn free_list_pop_drains_everything() {
+        let mut s = free_list_of(50, 0..50);
+        let mut seen = HashSet::new();
+        while let Some(v) = s.pop() {
+            assert!(seen.insert(v));
+        }
+        assert_eq!(seen.len(), 50);
+    }
 
     #[test]
     fn fresh_allocator_is_fully_free_in_max_blocks() {
@@ -469,7 +631,7 @@ mod tests {
     #[test]
     fn blocks_are_aligned_and_disjoint() {
         let mut b = BuddyAllocator::new(1 << 14);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         let mut blocks = Vec::new();
         for order in [3u32, 0, 9, 5, 0, 2, 9, 1] {
             let blk = b.alloc(order).unwrap();
@@ -522,6 +684,16 @@ mod tests {
     fn free_of_never_allocated_block_panics() {
         let mut b = BuddyAllocator::new(16);
         b.free(FrameBlock { start: PhysFrameNum::new(4), order: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "double free of frame 0x46")]
+    fn double_free_inside_a_large_block_names_the_frame() {
+        let mut b = BuddyAllocator::new(1024);
+        let blk = b.alloc(HUGE_PAGE_ORDER).unwrap();
+        assert_eq!(blk.start.raw(), 0);
+        b.free(FrameBlock { start: PhysFrameNum::new(70), order: 0 });
+        b.free(blk);
     }
 
     #[test]
@@ -591,13 +763,56 @@ mod tests {
     }
 
     proptest! {
+        /// The dense free list behaves like a set, and exactly like the
+        /// hash-indexed oracle: the same result from every insert, remove,
+        /// pop and contains, so the same `pop` order.
+        #[test]
+        fn free_list_matches_hash_indexed_oracle(
+            order in 0u32..4,
+            ops in proptest::collection::vec((0u8..4, 0u64..64), 0..200),
+        ) {
+            let mut model = HashSet::new();
+            let mut oracle = HashIndexedSet::default();
+            let mut sut = FreeList::new(order, 64 << order);
+            for (op, slot) in ops {
+                let v = slot << order;
+                match op {
+                    0 => {
+                        prop_assert_eq!(sut.insert(v), oracle.insert(v));
+                        model.insert(v);
+                    }
+                    1 => {
+                        prop_assert_eq!(sut.remove(v), oracle.remove(v));
+                        model.remove(&v);
+                    }
+                    2 => {
+                        let popped = sut.pop();
+                        prop_assert_eq!(popped, oracle.pop());
+                        if let Some(p) = popped {
+                            model.remove(&p);
+                        }
+                    }
+                    _ => prop_assert_eq!(sut.contains(v), model.contains(&v)),
+                }
+                prop_assert_eq!(sut.items.len(), model.len());
+            }
+            for slot in 0..64 {
+                prop_assert_eq!(sut.contains(slot << order), model.contains(&(slot << order)));
+            }
+            // Draining gives the oracle's order too.
+            while let Some(v) = oracle.pop() {
+                prop_assert_eq!(sut.pop(), Some(v));
+            }
+            prop_assert_eq!(sut.pop(), None);
+        }
+
         /// Invariant: any interleaving of allocs and frees conserves frames,
         /// never hands out overlapping blocks, and fully merges back.
         #[test]
         fn alloc_free_conservation(ops in proptest::collection::vec(0u32..=MAX_ORDER, 1..64)) {
             let mut b = BuddyAllocator::new(1 << 12);
             let mut live: Vec<FrameBlock> = Vec::new();
-            let mut allocated_frames = std::collections::HashSet::new();
+            let mut allocated_frames = HashSet::new();
             for (i, order) in ops.iter().enumerate() {
                 if i % 3 == 2 && !live.is_empty() {
                     let blk = live.swap_remove(i % live.len());

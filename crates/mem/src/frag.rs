@@ -7,7 +7,7 @@
 //! satisfy essentially no huge-page or bulk requests.
 
 use crate::buddy::{BuddyAllocator, FrameBlock};
-use crate::MemError;
+use crate::{MemError, PhysFrameNum};
 use sipt_rng::Rng;
 
 /// Frames pinned by the fragmentation injector. They play the role of the
@@ -15,22 +15,33 @@ use sipt_rng::Rng;
 /// [`FragmentHold::release`] to "kill" those processes.
 #[derive(Debug)]
 pub struct FragmentHold {
-    pinned: Vec<FrameBlock>,
+    /// Pinned single frames, as frame numbers.
+    pinned: Vec<u32>,
 }
 
 impl FragmentHold {
     /// Number of frames pinned.
     pub fn pinned_frames(&self) -> u64 {
-        self.pinned.iter().map(FrameBlock::len).sum()
+        self.pinned.len() as u64
+    }
+
+    /// The pinned frames, in the order the injector kept them.
+    pub fn pinned(&self) -> impl Iterator<Item = PhysFrameNum> + '_ {
+        self.pinned.iter().map(|&f| single(f).start)
     }
 
     /// Return all pinned frames to the allocator, ending the fragmented
     /// condition.
     pub fn release(self, phys: &mut BuddyAllocator) {
-        for block in self.pinned {
-            phys.free(block);
+        for f in self.pinned {
+            phys.free(single(f));
         }
     }
+}
+
+/// The order-0 block of frame number `frame`.
+fn single(frame: u32) -> FrameBlock {
+    FrameBlock { start: PhysFrameNum::new(frame.into()), order: 0 }
 }
 
 /// Fragment `phys` so that roughly `free_fraction` of its frames remain
@@ -58,17 +69,17 @@ pub fn fragment_memory<R: Rng>(
         free_fraction > 0.0 && free_fraction < 1.0,
         "free_fraction must be in (0,1), got {free_fraction}"
     );
-    // Grab every free frame as an order-0 block.
-    let mut singles: Vec<FrameBlock> = Vec::with_capacity(phys.free_frames() as usize);
+    // Grab every free frame as an order-0 block. Frame numbers fit in a
+    // `u32`: the allocator manages fewer than 2^32 frames.
+    let mut singles: Vec<u32> = Vec::with_capacity(phys.free_frames() as usize);
     while phys.free_frames() > 0 {
-        singles.push(phys.alloc(0)?);
+        singles.push(phys.alloc(0)?.start.raw() as u32);
     }
     // Shuffle-free a random subset.
     let n_free = (singles.len() as f64 * free_fraction).round() as usize;
     for _ in 0..n_free {
         let i = rng.gen_range(0..singles.len());
-        let block = singles.swap_remove(i);
-        phys.free(block);
+        phys.free(single(singles.swap_remove(i)));
     }
     Ok(FragmentHold { pinned: singles })
 }

@@ -37,7 +37,6 @@ pub mod addr;
 pub mod address_space;
 pub mod buddy;
 pub mod frag;
-pub mod indexed_set;
 pub mod page_table;
 pub mod translation_cache;
 

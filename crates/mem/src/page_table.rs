@@ -89,11 +89,16 @@ impl PageTable {
                 {
                     return Err(MemError::Misaligned { vpn, page_size });
                 }
-                // Reject if any base page in the range is mapped.
-                for i in 0..PAGES_PER_HUGE_PAGE {
-                    if self.lookup_raw(vpn + i).is_some() {
-                        return Err(MemError::AlreadyMapped { vpn: vpn + i });
-                    }
+                // Reject if any page in the range is mapped: every page
+                // shares the huge-map slot of the aligned `vpn`, so probe
+                // it once, then only the 4 KiB map page by page.
+                if self.huge.contains_key(&vpn.raw()) {
+                    return Err(MemError::AlreadyMapped { vpn });
+                }
+                if let Some(i) =
+                    (0..PAGES_PER_HUGE_PAGE).find(|&i| self.base.contains_key(&(vpn.raw() + i)))
+                {
+                    return Err(MemError::AlreadyMapped { vpn: vpn + i });
                 }
                 self.huge.insert(vpn.raw(), pfn);
                 self.stats.huge_mappings += 1;
@@ -242,6 +247,26 @@ mod tests {
             pt.map(VirtPageNum::new(17), PhysFrameNum::new(99), PageSize::Base4K),
             Err(MemError::AlreadyMapped { .. })
         ));
+    }
+
+    #[test]
+    fn huge_overlap_reports_first_mapped_page() {
+        let mut pt = PageTable::new();
+        pt.map(VirtPageNum::new(1024), PhysFrameNum::new(0), PageSize::Huge2M).unwrap();
+        pt.map(VirtPageNum::new(600), PhysFrameNum::new(7), PageSize::Base4K).unwrap();
+        pt.map(VirtPageNum::new(530), PhysFrameNum::new(8), PageSize::Base4K).unwrap();
+        let map_huge = |pt: &mut PageTable, vpn| {
+            pt.map(VirtPageNum::new(vpn), PhysFrameNum::new(512), PageSize::Huge2M)
+        };
+        assert_eq!(
+            map_huge(&mut pt, 1024),
+            Err(MemError::AlreadyMapped { vpn: VirtPageNum::new(1024) })
+        );
+        assert_eq!(
+            map_huge(&mut pt, 512),
+            Err(MemError::AlreadyMapped { vpn: VirtPageNum::new(530) })
+        );
+        assert_eq!(pt.stats().maps, 3);
     }
 
     #[test]
