@@ -105,31 +105,53 @@ pub const META_HAS_MEM: u32 = 1 << 21;
 /// Panics if `exec_latency` is outside `1..=255` or a register is out of
 /// range — both impossible for generator-produced traces.
 pub fn pack_inst_meta(inst: &Inst) -> u32 {
+    let field = |reg: Option<Reg>| (reg.unwrap_or(0), reg.is_some());
+    let mem = inst.mem.map(|m| m.op == MemOp::Store);
+    pack_meta_fields(
+        field(inst.dst),
+        [field(inst.srcs[0]), field(inst.srcs[1])],
+        (mem.unwrap_or(false), mem.is_some()),
+        inst.exec_latency,
+    )
+}
+
+/// Pack one metadata word from its fields, each optional one given as a
+/// `(value, present)` pair: `dst` and `srcs` are registers, `mem` is
+/// `(is_store, references_memory)`. The inverse of
+/// [`unpack_meta_fields`], and branch-free: an absent field packs to
+/// zero bits whatever its value, so generators can pass a candidate
+/// register and a coin flip without building `Option`s.
+///
+/// # Panics
+///
+/// Panics if `exec_latency` is outside `1..=255` or a *present* register
+/// is out of range.
+#[inline(always)]
+pub fn pack_meta_fields(
+    dst: (Reg, bool),
+    srcs: [(Reg, bool); 2],
+    mem: (bool, bool),
+    exec_latency: u64,
+) -> u32 {
     assert!(
-        (1..=255).contains(&inst.exec_latency),
-        "exec_latency {} does not fit the packed encoding",
-        inst.exec_latency
+        (1..=255).contains(&exec_latency),
+        "exec_latency {exec_latency} does not fit the packed encoding"
     );
-    let mut m = 0u32;
-    if let Some(d) = inst.dst {
-        assert!((d as usize) < NUM_REGS, "register {d} out of range");
-        m |= (d as u32) | (1 << 6);
-    }
-    if let Some(s) = inst.srcs[0] {
-        assert!((s as usize) < NUM_REGS, "register {s} out of range");
-        m |= ((s as u32) << 7) | (1 << 13);
-    }
-    if let Some(s) = inst.srcs[1] {
-        assert!((s as usize) < NUM_REGS, "register {s} out of range");
-        m |= ((s as u32) << 14) | (1 << 20);
-    }
-    if let Some(mem) = inst.mem {
-        m |= META_HAS_MEM;
-        if mem.op == MemOp::Store {
-            m |= 1 << 22;
-        }
-    }
-    m | ((inst.exec_latency as u32) << 23)
+    let (is_store, has_mem) = mem;
+    pack_reg(dst, 0, 6)
+        | pack_reg(srcs[0], 7, 13)
+        | pack_reg(srcs[1], 14, 20)
+        | (u32::from(has_mem) * META_HAS_MEM)
+        | (u32::from(has_mem & is_store) << 22)
+        | ((exec_latency as u32) << 23)
+}
+
+/// One `(register, present)` operand field: the register at `shift` and
+/// the presence bit at `present_bit`, or zero when absent.
+#[inline(always)]
+fn pack_reg((reg, present): (Reg, bool), shift: u32, present_bit: u32) -> u32 {
+    assert!(!present || (reg as usize) < NUM_REGS, "register {reg} out of range");
+    ((u32::from(reg) << shift) | (1 << present_bit)) & 0u32.wrapping_sub(u32::from(present))
 }
 
 /// Whether a packed metadata word references memory (i.e. whether

@@ -51,7 +51,7 @@ pub trait Rng {
     /// Panics if `p` is not within `[0, 1]`.
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "gen_bool probability {p} outside [0, 1]");
-        self.next_f64() < p
+        Bernoulli::new(p).sample(self)
     }
 
     /// A uniform sample from `range` (half-open `a..b` or inclusive
@@ -63,6 +63,40 @@ pub trait Rng {
     fn gen_range<T: SampleUniform, R: SampleRange<T>>(&mut self, range: R) -> T {
         let (lo, hi) = range.bounds_inclusive();
         T::sample_inclusive(self.next_u64(), lo, hi)
+    }
+}
+
+/// A coin with a fixed probability `p` of `true`, drawn in integers.
+///
+/// [`Rng::gen_bool`] compares [`Rng::next_f64`], which is `k · 2⁻⁵³` for
+/// `k = next_u64() >> 11`, against `p`. Scaling by a power of two is
+/// exact, so `k · 2⁻⁵³ < p` holds exactly when `k < p · 2⁵³`, and for an
+/// integer `k` that is `k < ⌈p · 2⁵³⌉`. `sample` makes that comparison:
+/// it consumes the same single `u64` and returns the same bit as
+/// `gen_bool(p)`, without the float conversion. Build one per
+/// probability and reuse it where the same `p` is drawn in a loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// `⌈p · 2⁵³⌉`, in `0..=2⁵³`.
+    threshold: u64,
+}
+
+impl Bernoulli {
+    /// A coin that lands `true` with probability `p`. A `const fn`, so
+    /// fixed probabilities can be `const` items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not within `[0, 1]` (NaN included).
+    pub const fn new(p: f64) -> Self {
+        assert!(p >= 0.0 && p <= 1.0, "Bernoulli probability outside [0, 1]");
+        Self { threshold: (p * (1u64 << 53) as f64).ceil() as u64 }
+    }
+
+    /// Draw one outcome: exactly `rng.gen_bool(p)`, from one `next_u64`.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        (rng.next_u64() >> 11) < self.threshold
     }
 }
 

@@ -46,7 +46,7 @@ pub use metrics::{
     NonPositiveValue, PhaseProfile, RunMetrics,
 };
 pub use multicore::{run_mix, MixMetrics};
-pub use prep_cache::{PrepCacheStats, PreparedMix, PreparedMixCore, PreparedWorkload};
+pub use prep_cache::{PrepCache, PrepCacheStats, PreparedMix, PreparedMixCore, PreparedWorkload};
 pub use resilience::{TaskFailure, WatchdogFlag};
 pub use runner::{
     run_benchmark, run_spec, run_spec_per_access, speculation_profile, try_run_benchmark,

@@ -94,27 +94,38 @@ struct CacheState {
     order: VecDeque<u64>,
 }
 
-static CACHE: Mutex<Option<CacheState>> = Mutex::new(None);
-static MIX_CACHE: Mutex<Option<HashMap<u64, MixCell>>> = Mutex::new(None);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+/// One preparation cache: single-core entries, mix entries, their
+/// hit/miss counters, a FIFO capacity and an enable switch.
+///
+/// The figure binaries share the process-wide instance behind the free
+/// functions of this module ([`get_or_prepare`], [`stats`], [`clear`],
+/// [`set_enabled`]). A separate instance has its own entries and
+/// counters, so work on it neither sees nor disturbs the process-wide
+/// accounting.
+pub struct PrepCache {
+    singles: Mutex<CacheState>,
+    mixes: Mutex<HashMap<u64, MixCell>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// Maximum number of live single-core entries before FIFO eviction
+    /// (in-flight users keep their `Arc`s, so eviction never affects
+    /// running tasks).
+    capacity: usize,
+    /// Enable state: 0 = follow `SIPT_PREP_CACHE`, 1 = forced on,
+    /// 2 = forced off (the `--no-prep-cache` flag).
+    mode: AtomicU8,
+}
 
-/// Runtime enable state: 0 = follow `SIPT_PREP_CACHE`, 1 = forced on,
-/// 2 = forced off (the `--no-prep-cache` flag).
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Maximum number of live cache entries before FIFO eviction (in-flight
-/// users keep their `Arc`s, so eviction never affects running tasks).
-fn capacity() -> usize {
-    static PARSED: OnceLock<usize> = OnceLock::new();
-    *PARSED.get_or_init(|| match crate::env::parse_or_warn("SIPT_PREP_CACHE_CAP") {
+/// Capacity of the process-wide cache: `SIPT_PREP_CACHE_CAP`, default 64.
+fn env_capacity() -> usize {
+    match crate::env::parse_or_warn("SIPT_PREP_CACHE_CAP") {
         Some(0) => {
             eprintln!("warning: SIPT_PREP_CACHE_CAP=0 is not a usable capacity; using 64");
             64
         }
         Some(n) => n.min(usize::MAX as u64) as usize,
         None => 64,
-    })
+    }
 }
 
 fn env_default() -> bool {
@@ -125,20 +136,22 @@ fn env_default() -> bool {
     })
 }
 
-/// Force the cache on or off for the rest of the process, overriding
-/// `SIPT_PREP_CACHE`. The figure binaries' `--no-prep-cache` flag calls
-/// `set_enabled(false)`.
-pub fn set_enabled(on: bool) {
-    OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+/// The process-wide cache behind this module's free functions.
+fn global() -> &'static PrepCache {
+    static GLOBAL: OnceLock<PrepCache> = OnceLock::new();
+    GLOBAL.get_or_init(|| PrepCache::new(env_capacity()))
 }
 
-/// Whether the cache is currently consulted.
+/// Force the process-wide cache on or off for the rest of the process,
+/// overriding `SIPT_PREP_CACHE`. The figure binaries' `--no-prep-cache`
+/// flag calls `set_enabled(false)`.
+pub fn set_enabled(on: bool) {
+    global().set_enabled(on);
+}
+
+/// Whether the process-wide cache is currently consulted.
 pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_default(),
-    }
+    global().enabled()
 }
 
 /// Content fingerprint of a `(spec, cond)` pair — FNV-1a over the full
@@ -152,99 +165,182 @@ fn prepare_fresh(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
     Ok(Arc::new(PreparedWorkload { asp: Arc::new(asp), trace: MaterializedTrace::from_gen(trace) }))
 }
 
-/// The prepared workload for `(spec, cond)`: cached when the cache is
-/// enabled, freshly prepared otherwise. Either way the returned state is
-/// bit-identical — the cache changes wall-clock only.
+/// The prepared workload for `(spec, cond)` from the process-wide cache;
+/// see [`PrepCache::get_or_prepare`].
 ///
 /// # Errors
 ///
-/// Propagates the preparation's [`SimError`] (workload too large, audit
-/// violation). Failed preparations are cached too: every config of an
-/// impossible workload reports the same error without re-failing the
-/// expensive preparation.
+/// Propagates the preparation's [`SimError`].
 pub fn get_or_prepare(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
-    let mut span = Span::enter(format!("prep {}", spec.name), "prep_cache");
-    if !enabled() {
-        span.arg("outcome", Json::str("bypass"));
-        return prepare_fresh(spec, cond);
-    }
-    let key = fingerprint(spec, cond);
-    let cell = {
-        let mut guard = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
-        let state = guard.get_or_insert_with(CacheState::default);
-        match state.map.get(&key) {
-            Some(cell) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                span.arg("outcome", Json::str("hit"));
-                Arc::clone(cell)
-            }
-            None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                span.arg("outcome", Json::str("miss"));
-                let cell: Cell = Arc::new(Mutex::new(None));
-                state.map.insert(key, Arc::clone(&cell));
-                state.order.push_back(key);
-                while state.map.len() > capacity() {
-                    if let Some(old) = state.order.pop_front() {
-                        state.map.remove(&old);
-                    }
-                }
-                cell
-            }
-        }
-    };
-    // Prepare (or wait for the preparing worker) under the cell's own
-    // lock. A poisoned cell means a previous claimant panicked before
-    // publishing a result; recover the guard and retry the preparation.
-    let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(result) = slot.as_ref() {
-        return result.clone();
-    }
-    let result = prepare_fresh(spec, cond);
-    *slot = Some(result.clone());
-    result
+    global().get_or_prepare(spec, cond)
 }
 
-/// The prepared state of a whole mix, cached under
-/// `(mix_name, cond)`; `prepare` runs only on a miss (or whenever the
-/// cache is disabled). Used by [`crate::multicore::run_mix`].
-///
-/// The closure-based shape keeps mix preparation (shared buddy
-/// allocator, per-process traces) in the multicore module while the
-/// caching/concurrency policy lives here, shared with the single-core
-/// path.
+/// The prepared mix for `(mix_name, cond)` from the process-wide cache;
+/// see [`PrepCache::get_or_prepare_mix`]. Used by
+/// [`crate::multicore::run_mix`].
 pub(crate) fn get_or_prepare_mix(
     mix_name: &str,
     cond: &Condition,
     prepare: impl FnOnce() -> Arc<PreparedMix>,
 ) -> Arc<PreparedMix> {
-    if !enabled() {
-        return prepare();
-    }
-    let key = fnv1a64(format!("mix|{mix_name}|{cond:?}").as_bytes());
-    let cell = {
-        let mut guard = MIX_CACHE.lock().unwrap_or_else(PoisonError::into_inner);
-        let map = guard.get_or_insert_with(HashMap::new);
-        match map.get(&key) {
-            Some(cell) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(cell)
-            }
-            None => {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-                let cell: MixCell = Arc::new(Mutex::new(None));
-                map.insert(key, Arc::clone(&cell));
-                cell
-            }
+    global().get_or_prepare_mix(mix_name, cond, prepare)
+}
+
+impl PrepCache {
+    /// An empty cache holding at most `capacity` single-core entries
+    /// (at least one). It follows `SIPT_PREP_CACHE` until
+    /// [`PrepCache::set_enabled`] is called.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            singles: Mutex::new(CacheState::default()),
+            mixes: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            capacity: capacity.max(1),
+            mode: AtomicU8::new(0),
         }
-    };
-    let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(mix) = slot.as_ref() {
-        return Arc::clone(mix);
     }
-    let mix = prepare();
-    *slot = Some(Arc::clone(&mix));
-    mix
+
+    /// Force this cache on or off, overriding `SIPT_PREP_CACHE`.
+    pub fn set_enabled(&self, on: bool) {
+        self.mode.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    }
+
+    /// Whether lookups currently consult this cache.
+    pub fn enabled(&self) -> bool {
+        match self.mode.load(Ordering::Relaxed) {
+            1 => true,
+            2 => false,
+            _ => env_default(),
+        }
+    }
+
+    /// The prepared workload for `(spec, cond)`: cached when the cache is
+    /// enabled, freshly prepared otherwise. Either way the returned state
+    /// is bit-identical — the cache changes wall-clock only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the preparation's [`SimError`] (workload too large,
+    /// audit violation). Failed preparations are cached too: every config
+    /// of an impossible workload reports the same error without
+    /// re-failing the expensive preparation.
+    pub fn get_or_prepare(&self, spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
+        let mut span = Span::enter(format!("prep {}", spec.name), "prep_cache");
+        if !self.enabled() {
+            span.arg("outcome", Json::str("bypass"));
+            return prepare_fresh(spec, cond);
+        }
+        let key = fingerprint(spec, cond);
+        let cell = {
+            let mut state = self.singles.lock().unwrap_or_else(PoisonError::into_inner);
+            match state.map.get(&key) {
+                Some(cell) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    span.arg("outcome", Json::str("hit"));
+                    Arc::clone(cell)
+                }
+                None => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    span.arg("outcome", Json::str("miss"));
+                    let cell: Cell = Arc::new(Mutex::new(None));
+                    state.map.insert(key, Arc::clone(&cell));
+                    state.order.push_back(key);
+                    while state.map.len() > self.capacity {
+                        if let Some(old) = state.order.pop_front() {
+                            state.map.remove(&old);
+                        }
+                    }
+                    cell
+                }
+            }
+        };
+        // Prepare (or wait for the preparing worker) under the cell's own
+        // lock. A poisoned cell means a previous claimant panicked before
+        // publishing a result; recover the guard and retry the preparation.
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(result) = slot.as_ref() {
+            return result.clone();
+        }
+        let result = prepare_fresh(spec, cond);
+        *slot = Some(result.clone());
+        result
+    }
+
+    /// The prepared state of a whole mix, cached under
+    /// `(mix_name, cond)`; `prepare` runs only on a miss (or whenever the
+    /// cache is disabled).
+    ///
+    /// The closure-based shape keeps mix preparation (shared buddy
+    /// allocator, per-process traces) in the multicore module while the
+    /// caching/concurrency policy lives here, shared with the single-core
+    /// path.
+    pub(crate) fn get_or_prepare_mix(
+        &self,
+        mix_name: &str,
+        cond: &Condition,
+        prepare: impl FnOnce() -> Arc<PreparedMix>,
+    ) -> Arc<PreparedMix> {
+        if !self.enabled() {
+            return prepare();
+        }
+        let key = fnv1a64(format!("mix|{mix_name}|{cond:?}").as_bytes());
+        let cell = {
+            let mut map = self.mixes.lock().unwrap_or_else(PoisonError::into_inner);
+            match map.get(&key) {
+                Some(cell) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    Arc::clone(cell)
+                }
+                None => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    let cell: MixCell = Arc::new(Mutex::new(None));
+                    map.insert(key, Arc::clone(&cell));
+                    cell
+                }
+            }
+        };
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(mix) = slot.as_ref() {
+            return Arc::clone(mix);
+        }
+        let mix = prepare();
+        *slot = Some(Arc::clone(&mix));
+        mix
+    }
+
+    /// Snapshot this cache's counters. `entries` counts single-core *and*
+    /// mix entries.
+    pub fn stats(&self) -> PrepCacheStats {
+        let singles = self.singles.lock().unwrap_or_else(PoisonError::into_inner).map.len();
+        let mixes = self.mixes.lock().unwrap_or_else(PoisonError::into_inner).len();
+        PrepCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: singles + mixes,
+            enabled: self.enabled(),
+        }
+    }
+
+    /// The `prep_cache` object of the report's `parallelism` block
+    /// (schema v4).
+    pub fn stats_json(&self) -> Json {
+        let s = self.stats();
+        Json::obj([
+            ("enabled", Json::Bool(s.enabled)),
+            ("hits", Json::u64(s.hits)),
+            ("misses", Json::u64(s.misses)),
+            ("entries", Json::u64(s.entries as u64)),
+        ])
+    }
+
+    /// Drop all entries and zero the counters.
+    pub fn clear(&self) {
+        *self.singles.lock().unwrap_or_else(PoisonError::into_inner) = CacheState::default();
+        self.mixes.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Counter snapshot for reports and tests.
@@ -261,40 +357,21 @@ pub struct PrepCacheStats {
     pub enabled: bool,
 }
 
-/// Snapshot the cache counters. `entries` counts single-core *and* mix
-/// entries.
+/// Snapshot the process-wide cache's counters.
 pub fn stats() -> PrepCacheStats {
-    let singles =
-        CACHE.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map_or(0, |s| s.map.len());
-    let mixes =
-        MIX_CACHE.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map_or(0, HashMap::len);
-    PrepCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        entries: singles + mixes,
-        enabled: enabled(),
-    }
+    global().stats()
 }
 
 /// The `prep_cache` object of the report's `parallelism` block
-/// (schema v4).
+/// (schema v4), for the process-wide cache.
 pub fn stats_json() -> Json {
-    let s = stats();
-    Json::obj([
-        ("enabled", Json::Bool(s.enabled)),
-        ("hits", Json::u64(s.hits)),
-        ("misses", Json::u64(s.misses)),
-        ("entries", Json::u64(s.entries as u64)),
-    ])
+    global().stats_json()
 }
 
-/// Drop all entries and zero the counters (tests and long-lived drivers
-/// that want isolated accounting).
+/// Drop all entries of the process-wide cache and zero its counters
+/// (tests and long-lived drivers that want isolated accounting).
 pub fn clear() {
-    *CACHE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    *MIX_CACHE.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
+    global().clear();
 }
 
 #[cfg(test)]
@@ -302,129 +379,118 @@ mod tests {
     use super::*;
     use sipt_workloads::benchmark;
 
-    /// The whole suite shares one process, so these tests serialize on a
-    /// lock and restore the default state afterwards.
-    fn with_clean_cache<R>(f: impl FnOnce() -> R) -> R {
-        static GATE: Mutex<()> = Mutex::new(());
-        let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        clear();
-        set_enabled(true);
-        let out = f();
-        clear();
-        OVERRIDE.store(0, Ordering::Relaxed);
-        out
+    /// A fresh, enabled cache of the default capacity. Each test owns its
+    /// instance, so other tests in the process that prepare workloads
+    /// through the process-wide cache cannot disturb its counters.
+    fn fresh_cache() -> PrepCache {
+        let cache = PrepCache::new(64);
+        cache.set_enabled(true);
+        cache
     }
 
     #[test]
     fn second_lookup_hits_and_shares_the_arc() {
-        with_clean_cache(|| {
-            let spec = benchmark("sjeng").unwrap();
-            let cond = Condition::quick();
-            let a = get_or_prepare(&spec, &cond).unwrap();
-            let b = get_or_prepare(&spec, &cond).unwrap();
-            assert!(Arc::ptr_eq(&a, &b), "hit must share the prepared state");
-            let s = stats();
-            assert_eq!((s.hits, s.misses), (1, 1));
-            assert_eq!(s.entries, 1);
-        });
+        let cache = fresh_cache();
+        let spec = benchmark("sjeng").unwrap();
+        let cond = Condition::quick();
+        let a = cache.get_or_prepare(&spec, &cond).unwrap();
+        let b = cache.get_or_prepare(&spec, &cond).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "hit must share the prepared state");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(s.entries, 1);
     }
 
     #[test]
     fn cached_state_is_bit_identical_to_fresh_preparation() {
-        with_clean_cache(|| {
-            let spec = benchmark("mcf").unwrap();
-            let cond = Condition::quick();
-            let cached = get_or_prepare(&spec, &cond).unwrap();
-            let fresh = prepare_fresh(&spec, &cond).unwrap();
-            assert_eq!(cached.trace, fresh.trace);
-            let c: Vec<_> = cached.trace.cursor().collect();
-            let f: Vec<_> = fresh.trace.cursor().collect();
-            assert_eq!(c, f);
-        });
+        let cache = fresh_cache();
+        let spec = benchmark("mcf").unwrap();
+        let cond = Condition::quick();
+        let cached = cache.get_or_prepare(&spec, &cond).unwrap();
+        let fresh = prepare_fresh(&spec, &cond).unwrap();
+        assert_eq!(cached.trace, fresh.trace);
+        let c: Vec<_> = cached.trace.cursor().collect();
+        let f: Vec<_> = fresh.trace.cursor().collect();
+        assert_eq!(c, f);
     }
 
     #[test]
     fn distinct_conditions_are_distinct_entries() {
-        with_clean_cache(|| {
-            let spec = benchmark("sjeng").unwrap();
-            let a = Condition::quick();
-            let b = Condition { seed: 43, ..a };
-            assert_ne!(fingerprint(&spec, &a), fingerprint(&spec, &b));
-            let _ = get_or_prepare(&spec, &a).unwrap();
-            let _ = get_or_prepare(&spec, &b).unwrap();
-            assert_eq!(stats().misses, 2);
-        });
+        let cache = fresh_cache();
+        let spec = benchmark("sjeng").unwrap();
+        let a = Condition::quick();
+        let b = Condition { seed: 43, ..a };
+        assert_ne!(fingerprint(&spec, &a), fingerprint(&spec, &b));
+        let _ = cache.get_or_prepare(&spec, &a).unwrap();
+        let _ = cache.get_or_prepare(&spec, &b).unwrap();
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn disabled_cache_prepares_fresh_and_counts_nothing() {
-        with_clean_cache(|| {
-            set_enabled(false);
-            let spec = benchmark("sjeng").unwrap();
-            let cond = Condition::quick();
-            let a = get_or_prepare(&spec, &cond).unwrap();
-            let b = get_or_prepare(&spec, &cond).unwrap();
-            assert!(!Arc::ptr_eq(&a, &b));
-            let s = stats();
-            assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
-            assert!(!s.enabled);
-        });
+        let cache = fresh_cache();
+        cache.set_enabled(false);
+        let spec = benchmark("sjeng").unwrap();
+        let cond = Condition::quick();
+        let a = cache.get_or_prepare(&spec, &cond).unwrap();
+        let b = cache.get_or_prepare(&spec, &cond).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
+        assert!(!s.enabled);
     }
 
     #[test]
     fn failed_preparation_is_cached() {
-        with_clean_cache(|| {
-            let spec = benchmark("mcf").unwrap(); // 1.7 GiB footprint
-            let cond = Condition { memory_bytes: 1 << 20, ..Condition::quick() };
-            let a = get_or_prepare(&spec, &cond).unwrap_err();
-            let b = get_or_prepare(&spec, &cond).unwrap_err();
-            assert_eq!(a, b);
-            let s = stats();
-            assert_eq!((s.hits, s.misses), (1, 1));
-        });
+        let cache = fresh_cache();
+        let spec = benchmark("mcf").unwrap(); // 1.7 GiB footprint
+        let cond = Condition { memory_bytes: 1 << 20, ..Condition::quick() };
+        let a = cache.get_or_prepare(&spec, &cond).unwrap_err();
+        let b = cache.get_or_prepare(&spec, &cond).unwrap_err();
+        assert_eq!(a, b);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
     fn concurrent_lookups_prepare_once() {
-        with_clean_cache(|| {
-            let spec = benchmark("gcc").unwrap();
-            let cond = Condition::quick();
-            let prepared: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    (0..8).map(|_| scope.spawn(|| get_or_prepare(&spec, &cond).unwrap())).collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for p in &prepared[1..] {
-                assert!(Arc::ptr_eq(&prepared[0], p));
-            }
-            let s = stats();
-            assert_eq!(s.misses, 1, "one preparation for eight workers");
-            assert_eq!(s.hits, 7);
+        let cache = fresh_cache();
+        let spec = benchmark("gcc").unwrap();
+        let cond = Condition::quick();
+        let prepared: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| cache.get_or_prepare(&spec, &cond).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        for p in &prepared[1..] {
+            assert!(Arc::ptr_eq(&prepared[0], p));
+        }
+        let s = cache.stats();
+        assert_eq!(s.misses, 1, "one preparation for eight workers");
+        assert_eq!(s.hits, 7);
     }
 
     #[test]
     fn fifo_eviction_bounds_entries() {
-        with_clean_cache(|| {
-            // Capacity is process-wide (default 64): insert 65 distinct
-            // keys and watch the count stay bounded.
-            let spec = benchmark("sjeng").unwrap();
-            for seed in 0..65u64 {
-                let cond = Condition { seed, instructions: 50, warmup: 10, ..Condition::quick() };
-                let _ = get_or_prepare(&spec, &cond).unwrap();
-            }
-            assert!(stats().entries <= 64, "entries = {}", stats().entries);
-            assert_eq!(stats().misses, 65);
-        });
+        let cache = fresh_cache();
+        // Capacity 64: insert 65 distinct keys and watch the count
+        // stay bounded.
+        let spec = benchmark("sjeng").unwrap();
+        for seed in 0..65u64 {
+            let cond = Condition { seed, instructions: 50, warmup: 10, ..Condition::quick() };
+            let _ = cache.get_or_prepare(&spec, &cond).unwrap();
+        }
+        assert!(cache.stats().entries <= 64, "entries = {}", cache.stats().entries);
+        assert_eq!(cache.stats().misses, 65);
     }
 
     #[test]
     fn stats_json_shape() {
-        with_clean_cache(|| {
-            let rendered = stats_json().render();
-            for field in ["\"enabled\"", "\"hits\"", "\"misses\"", "\"entries\""] {
-                assert!(rendered.contains(field), "{rendered}");
-            }
-        });
+        let cache = fresh_cache();
+        let rendered = cache.stats_json().render();
+        for field in ["\"enabled\"", "\"hits\"", "\"misses\"", "\"entries\""] {
+            assert!(rendered.contains(field), "{rendered}");
+        }
     }
 }

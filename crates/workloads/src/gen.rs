@@ -7,31 +7,62 @@
 //! stable role — streaming a slice, probing a hash region, chasing
 //! pointers, or hammering a hot set — mirroring how real load PCs behave
 //! and giving the PC-indexed SIPT predictors something learnable.
+//!
+//! **Packed emission.** The generator emits each instruction directly in
+//! the encoding `MaterializedTrace` stores: a `(pc, meta, va)` record
+//! whose metadata word is built branch-free by
+//! [`sipt_cpu::pack_meta_fields`] from `(register, present)` pairs, so no
+//! `Inst` with its four `Option`s is built and re-packed.
+//! `MaterializedTrace::from_gen` pushes the records straight into its
+//! arrays; the `Iterator` impl decodes the same records with
+//! [`sipt_cpu::unpack_inst_meta`], so there is one generation path. The
+//! coin flips use precomputed [`Bernoulli`] thresholds, which consume
+//! the same `u64` and return the same bit as `gen_bool`.
+//!
+//! **Contiguous runs.** [`Layout`] maps a linear offset to a VA. `mmap`
+//! places a mapping below 2 MiB directly after the previous one, and only
+//! huge-page-eligible mappings are 2 MiB-aligned. A Burst workload maps
+//! one region and the Chunked and Incremental presets map sub-2 MiB
+//! chunks, so every preset's regions form one VA-contiguous run, even
+//! the Incremental ones with tens of thousands of single-page regions.
+//! `Layout` merges VA-adjacent regions into runs, so `va_of` searches a
+//! single run on every preset instead of up to 65,536 regions; layouts
+//! whose chunks leave alignment gaps keep one run per gap.
 
 use crate::spec::{AllocPattern, WorkloadSpec};
-use sipt_cpu::{Inst, MemOp, MemRef};
+use sipt_cpu::{meta_has_mem, pack_meta_fields, unpack_inst_meta, Inst};
 use sipt_mem::{AddressSpace, BuddyAllocator, MemError, Region, VirtAddr, PAGE_SIZE};
-use sipt_rng::{Rng, SeedableRng, StdRng};
+use sipt_rng::{Bernoulli, Rng, SeedableRng, StdRng};
 
 /// The workload's view of its memory: the mmap'd regions flattened into
 /// one linear space of `bytes` bytes.
+///
+/// Regions that follow each other in VA are merged into one run, so a
+/// layout holds one entry per VA-contiguous run, not per region.
 #[derive(Debug, Clone)]
 pub struct Layout {
-    regions: Vec<Region>,
-    /// Cumulative starting offset of each region in the linear space.
+    /// First virtual address of each run.
+    starts: Vec<VirtAddr>,
+    /// Starting offset of each run in the linear space.
     cumulative: Vec<u64>,
     bytes: u64,
 }
 
 impl Layout {
     fn new(regions: Vec<Region>) -> Self {
-        let mut cumulative = Vec::with_capacity(regions.len());
+        let mut starts = Vec::new();
+        let mut cumulative = Vec::new();
+        let mut run_end = None;
         let mut total = 0;
-        for r in &regions {
-            cumulative.push(total);
+        for r in regions {
+            if run_end != Some(r.start) {
+                starts.push(r.start);
+                cumulative.push(total);
+            }
+            run_end = Some(r.end());
             total += r.bytes();
         }
-        Self { regions, cumulative, bytes: total }
+        Self { starts, cumulative, bytes: total }
     }
 
     /// Total bytes mapped.
@@ -44,13 +75,11 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if `offset >= bytes()`.
+    #[inline]
     pub fn va_of(&self, offset: u64) -> VirtAddr {
         assert!(offset < self.bytes, "offset {offset} beyond layout ({})", self.bytes);
-        let idx = match self.cumulative.binary_search(&offset) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        self.regions[idx].start + (offset - self.cumulative[idx])
+        let idx = self.cumulative.partition_point(|&c| c <= offset) - 1;
+        self.starts[idx] + (offset - self.cumulative[idx])
     }
 }
 
@@ -97,16 +126,43 @@ const CHASE_REG: u8 = 16;
 const LOAD_REG_BASE: u8 = 32;
 const LOAD_REGS: u8 = 16;
 
+/// One generated instruction in the encoding `MaterializedTrace` stores:
+/// its PC, its packed metadata word (see `sipt_cpu::pack_meta_fields`)
+/// and, iff the word references memory, its virtual address (else 0).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedInst {
+    pub(crate) pc: u64,
+    pub(crate) meta: u32,
+    pub(crate) va: u64,
+}
+
+// The generator's fixed-probability coin flips; the spec-dependent
+// `mem_ratio` and `store_ratio` coins live in `TraceGen`.
+
+/// A hot-role access hits its tiny set.
+const HOT_TINY: Bernoulli = Bernoulli::new(0.92);
+/// A load takes its address from the latest ALU result.
+const LOAD_ADDR_REG: Bernoulli = Bernoulli::new(0.5);
+/// An ALU op extends the previous ALU chain.
+const ALU_CHAIN: Bernoulli = Bernoulli::new(0.4);
+/// An ALU op consumes the latest load result.
+const ALU_LOAD_USE: Bernoulli = Bernoulli::new(0.3);
+/// An ALU op has the long (3-cycle) latency.
+const ALU_LONG: Bernoulli = Bernoulli::new(0.1);
+
 /// A deterministic synthetic instruction stream.
 ///
 /// Produced by [`TraceGen::build`]; consumed as an `Iterator<Item = Inst>`
-/// by the core timing models.
+/// by the core timing models, or drained as packed records by
+/// `MaterializedTrace::from_gen`.
 #[derive(Debug, Clone)]
 pub struct TraceGen {
     statics: Vec<StaticMem>,
     layout: Layout,
-    mem_ratio: f64,
-    store_ratio: f64,
+    /// Memory op rather than ALU op (`spec.mem_ratio`).
+    mem_coin: Bernoulli,
+    /// Store rather than load (`spec.store_ratio`).
+    store_coin: Bernoulli,
     rng: StdRng,
     remaining: u64,
     alu_rot: u8,
@@ -243,8 +299,8 @@ impl TraceGen {
         Ok(Self {
             statics,
             layout,
-            mem_ratio: spec.mem_ratio,
-            store_ratio: spec.store_ratio,
+            mem_coin: Bernoulli::new(spec.mem_ratio),
+            store_coin: Bernoulli::new(spec.store_ratio),
             rng,
             remaining: instructions,
             alu_rot: 0,
@@ -284,7 +340,19 @@ impl TraceGen {
         (*page * PAGE_SIZE + off_in_page).clamp(lo, hi - 8)
     }
 
-    fn gen_mem(&mut self) -> Inst {
+    /// Generate the next instruction as a packed record, or `None` once
+    /// the stream is exhausted. The only generation path: the `Iterator`
+    /// impl decodes these records.
+    #[inline]
+    pub(crate) fn next_packed(&mut self) -> Option<PackedInst> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        Some(if self.mem_coin.sample(&mut self.rng) { self.gen_mem() } else { self.gen_alu() })
+    }
+
+    fn gen_mem(&mut self) -> PackedInst {
         if self.static_run_left == 0 {
             self.cur_static = self.rng.gen_range(0..self.statics.len());
             // Streaming kernels are tight inner loops sweeping long
@@ -305,9 +373,14 @@ impl TraceGen {
             let s = &mut self.statics[idx];
             match &mut s.role {
                 Role::Stream { cursor, stride, lo, hi } => {
+                    // `cursor < span` and `stride < span` (8 vs ≥ 64), so one
+                    // conditional subtract is the wrap.
                     let span = *hi - *lo;
                     let off = *lo + *cursor;
-                    *cursor = (*cursor + *stride) % span;
+                    *cursor += *stride;
+                    if *cursor >= span {
+                        *cursor -= span;
+                    }
                     (s.pc, off.min(bytes - 8), false)
                 }
                 Role::Burst { lo, hi, page, step, burst_left } => {
@@ -341,7 +414,7 @@ impl TraceGen {
                 Role::Hot { slice_lo, slice_hi, tiny } => {
                     // Most accesses hit the tiny set; the tail sweeps the
                     // whole slice (capacity-sensitive component).
-                    let off = if self.rng.gen_bool(0.92) {
+                    let off = if HOT_TINY.sample(&mut self.rng) {
                         *slice_lo + (self.rng.gen_range(0..*tiny) & !7)
                     } else {
                         self.rng.gen_range(*slice_lo..*slice_hi - 8) & !7
@@ -350,45 +423,48 @@ impl TraceGen {
                 }
             }
         };
-        let va = self.layout.va_of(offset);
-        if is_chase {
+        let va = self.layout.va_of(offset).raw();
+        let meta = if is_chase {
             // Serialize: the address depends on the previous chased value.
-            Inst {
-                pc,
-                dst: Some(CHASE_REG),
-                srcs: [Some(CHASE_REG), None],
-                mem: Some(MemRef { op: MemOp::Load, va }),
-                exec_latency: 1,
-            }
-        } else if self.rng.gen_bool(self.store_ratio) {
-            Inst::store(pc, Some(self.last_alu_dst), None, va)
+            pack_meta_fields((CHASE_REG, true), [(CHASE_REG, true), (0, false)], (false, true), 1)
+        } else if self.store_coin.sample(&mut self.rng) {
+            pack_meta_fields((0, false), [(self.last_alu_dst, true), (0, false)], (true, true), 1)
         } else {
             let dst = LOAD_REG_BASE + (self.load_rot % LOAD_REGS);
             self.load_rot = self.load_rot.wrapping_add(1);
             // Half of the loads take their address from a recent ALU
             // result, coupling them into the dependence graph.
-            let addr_reg = if self.rng.gen_bool(0.5) { Some(self.last_alu_dst) } else { None };
-            Inst::load(pc, dst, addr_reg, va)
-        }
+            let addr_reg = LOAD_ADDR_REG.sample(&mut self.rng);
+            pack_meta_fields(
+                (dst, true),
+                [(self.last_alu_dst, addr_reg), (0, false)],
+                (false, true),
+                1,
+            )
+        };
+        PackedInst { pc, meta, va }
     }
 
-    fn gen_alu(&mut self) -> Inst {
+    fn gen_alu(&mut self) -> PackedInst {
         let dst = self.alu_rot % ALU_REGS;
         self.alu_rot = self.alu_rot.wrapping_add(1);
         // Short dependence chains with real ILP: 40% of ALU ops extend the
         // previous chain (mean chain length ≈ 1.7), 30% consume the most
-        // recent load result, the rest are independent.
-        let src1 = self.rng.gen_bool(0.4).then_some(self.last_alu_dst);
-        let src2 = self
-            .rng
-            .gen_bool(0.3)
-            .then(|| LOAD_REG_BASE + self.load_rot.wrapping_sub(1) % LOAD_REGS);
-        let mut inst = Inst::alu(0x10_0000 + dst as u64 * 4, dst, [src1, src2]);
-        if self.rng.gen_bool(0.1) {
-            inst.exec_latency = 3; // multiplies etc.
-        }
+        // recent load result, the rest are independent; 10% are
+        // multiplies etc. with latency 3. The three draws happen in this
+        // order whatever their outcomes: the order is part of the stream.
+        let chain = ALU_CHAIN.sample(&mut self.rng);
+        let load_use = ALU_LOAD_USE.sample(&mut self.rng);
+        let long = ALU_LONG.sample(&mut self.rng);
+        let last_load = LOAD_REG_BASE + self.load_rot.wrapping_sub(1) % LOAD_REGS;
+        let meta = pack_meta_fields(
+            (dst, true),
+            [(self.last_alu_dst, chain), (last_load, load_use)],
+            (false, false),
+            1 + 2 * u64::from(long),
+        );
         self.last_alu_dst = dst;
-        inst
+        PackedInst { pc: 0x10_0000 + dst as u64 * 4, meta, va: 0 }
     }
 }
 
@@ -426,15 +502,8 @@ impl Iterator for TraceGen {
     type Item = Inst;
 
     fn next(&mut self) -> Option<Inst> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.rng.gen_bool(self.mem_ratio) {
-            Some(self.gen_mem())
-        } else {
-            Some(self.gen_alu())
-        }
+        let PackedInst { pc, meta, va } = self.next_packed()?;
+        Some(unpack_inst_meta(meta, pc, meta_has_mem(meta).then(|| VirtAddr::new(va))))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -449,6 +518,7 @@ impl ExactSizeIterator for TraceGen {}
 mod tests {
     use super::*;
     use crate::spec::{benchmark, BENCHMARKS};
+    use sipt_cpu::MemOp;
     use sipt_mem::PlacementPolicy;
 
     fn build_for(name: &str, instructions: u64) -> (TraceGen, AddressSpace) {
@@ -535,6 +605,34 @@ mod tests {
     }
 
     #[test]
+    fn stream_roles_wrap_within_their_slice() {
+        // 16 streamers over 64 KiB: 4 KiB slices, so every PC wraps its
+        // cursor within the trace.
+        let spec = WorkloadSpec {
+            footprint: 64 << 10,
+            mem_ratio: 0.5,
+            mix: crate::spec::PatternMix { stream: 1.0, random: 0.0, chase: 0.0 },
+            alloc: AllocPattern::Burst,
+            mem_pcs: 16,
+            ..benchmark("hmmer").unwrap()
+        };
+        let mut phys = BuddyAllocator::with_bytes(1 << 30);
+        let mut asp = AddressSpace::new(1, PlacementPolicy::LinuxDefault);
+        let gen = TraceGen::build(&spec, &mut asp, &mut phys, 50_000, 3).unwrap();
+        let base = gen.layout().va_of(0).raw();
+        let slice = spec.footprint / 16;
+        let mut seen = [0u64; 16];
+        for inst in gen {
+            let Some(mem) = inst.mem else { continue };
+            let i = ((inst.pc - 0x40_0000) / 0x9E5) as usize;
+            let want = slice * i as u64 + (8 * seen[i]) % slice;
+            assert_eq!(mem.va.raw() - base, want, "streamer {i}, access {}", seen[i]);
+            seen[i] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > slice / 8), "every streamer wraps: {seen:?}");
+    }
+
+    #[test]
     fn chase_instructions_are_self_dependent() {
         let (gen, _asp) = build_for("mcf", 50_000);
         let chases: Vec<Inst> =
@@ -577,7 +675,69 @@ mod tests {
             let gen = TraceGen::build(spec, &mut asp, &mut phys, 10, 7)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert_eq!(gen.layout().bytes(), spec.footprint.div_ceil(4096) * 4096);
+            // Burst maps one region, and sub-2 MiB chunks pack back to
+            // back, so every roster layout is one VA-contiguous run.
+            assert_eq!(gen.layout().starts.len(), 1, "{}: runs", spec.name);
         }
+    }
+
+    /// The layout before coalescing: one entry per region, found by
+    /// binary search over the regions' cumulative offsets.
+    fn per_region_va_of(regions: &[Region], cumulative: &[u64], offset: u64) -> VirtAddr {
+        let idx = match cumulative.binary_search(&offset) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        };
+        regions[idx].start + (offset - cumulative[idx])
+    }
+
+    /// Check `va_of` against [`per_region_va_of`] one byte either side of
+    /// every page boundary; returns the layout's run count.
+    fn assert_coalescing_matches_regions(spec: &WorkloadSpec) -> usize {
+        let mut phys = BuddyAllocator::with_bytes(2 << 30);
+        let mut asp = AddressSpace::new(1, PlacementPolicy::LinuxDefault);
+        let gen = TraceGen::build(spec, &mut asp, &mut phys, 0, 1).unwrap();
+        let regions: Vec<Region> = asp.regions().collect();
+        let cumulative: Vec<u64> = regions
+            .iter()
+            .scan(0, |total, r| {
+                *total += r.bytes();
+                Some(*total - r.bytes())
+            })
+            .collect();
+        let layout = gen.layout();
+        let mut page = 0;
+        while page <= layout.bytes() {
+            for offset in [page.wrapping_sub(1), page, page + 1] {
+                if offset < layout.bytes() {
+                    let want = per_region_va_of(&regions, &cumulative, offset);
+                    assert_eq!(layout.va_of(offset), want, "{}: offset {offset}", spec.name);
+                }
+            }
+            page += PAGE_SIZE;
+        }
+        layout.starts.len()
+    }
+
+    #[test]
+    fn coalesced_layout_matches_per_region_search() {
+        let calculix = benchmark("calculix").unwrap();
+        let runs = assert_coalescing_matches_regions(&calculix);
+        assert_eq!(runs, 1, "calculix's single-page regions are VA-contiguous");
+    }
+
+    #[test]
+    fn coalescing_stops_at_huge_page_alignment_gaps() {
+        // 600-page chunks are huge-page eligible, so each one starts
+        // 2 MiB-aligned and leaves a VA gap behind its predecessor; only
+        // the short final chunk packs against the chunk before it.
+        let spec = WorkloadSpec {
+            footprint: 16 << 20,
+            alloc: AllocPattern::Chunked { chunk_pages: 600 },
+            ..benchmark("sjeng").unwrap()
+        };
+        let runs = assert_coalescing_matches_regions(&spec);
+        assert_eq!(runs, 6, "7 chunks, the last merged into the sixth");
     }
 
     #[test]

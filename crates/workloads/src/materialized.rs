@@ -1,6 +1,6 @@
 //! Compact, replayable traces.
 //!
-//! [`TraceGen`] is a *generator*: every [`Inst`] it yields costs RNG
+//! [`TraceGen`] is a *generator*: every instruction it yields costs RNG
 //! draws and role bookkeeping, and a drained generator is gone — running
 //! five L1 configurations over the same benchmark meant generating the
 //! same stream five times. [`MaterializedTrace`] drains a generator
@@ -11,11 +11,16 @@
 //! bit-identical `Inst`s. All randomness is spent at materialization
 //! time; replay is pure array walking.
 //!
+//! [`MaterializedTrace::from_gen`] consumes the generator's packed
+//! `(pc, meta, va)` records and pushes them straight into the three
+//! arrays: the generator already emits this encoding, so no [`Inst`] is
+//! built on the way.
+//!
 //! Per instruction the encoding stores 12 bytes (8-byte PC + 4-byte
 //! metadata word, layout defined in `sipt-cpu`) plus 8 bytes per memory
-//! reference, versus 56 bytes for a `Vec<Inst>`.
+//! reference, versus 40 bytes for a `Vec<Inst>`.
 
-use crate::gen::TraceGen;
+use crate::gen::{PackedInst, TraceGen};
 use sipt_cpu::{meta_has_mem, pack_inst_meta, unpack_inst_meta, Inst};
 use sipt_mem::VirtAddr;
 
@@ -39,13 +44,12 @@ pub struct MaterializedTrace {
 impl MaterializedTrace {
     /// Drain `gen` to completion, spending all of its RNG work now so
     /// that replay does none.
-    pub fn from_gen(gen: TraceGen) -> Self {
-        let (lower, upper) = gen.size_hint();
-        let n = upper.unwrap_or(lower);
+    pub fn from_gen(mut gen: TraceGen) -> Self {
+        let n = gen.len();
         let mut trace =
             Self { pcs: Vec::with_capacity(n), meta: Vec::with_capacity(n), mem_vas: Vec::new() };
-        for inst in gen {
-            trace.push(&inst);
+        while let Some(record) = gen.next_packed() {
+            trace.push(record);
         }
         trace.mem_vas.shrink_to_fit();
         trace
@@ -56,16 +60,17 @@ impl MaterializedTrace {
     pub fn from_insts<I: IntoIterator<Item = Inst>>(insts: I) -> Self {
         let mut trace = Self { pcs: Vec::new(), meta: Vec::new(), mem_vas: Vec::new() };
         for inst in insts {
-            trace.push(&inst);
+            let va = inst.mem.map_or(0, |m| m.va.raw());
+            trace.push(PackedInst { pc: inst.pc, meta: pack_inst_meta(&inst), va });
         }
         trace
     }
 
-    fn push(&mut self, inst: &Inst) {
-        self.pcs.push(inst.pc);
-        self.meta.push(pack_inst_meta(inst));
-        if let Some(mem) = inst.mem {
-            self.mem_vas.push(mem.va.raw());
+    fn push(&mut self, PackedInst { pc, meta, va }: PackedInst) {
+        self.pcs.push(pc);
+        self.meta.push(meta);
+        if meta_has_mem(meta) {
+            self.mem_vas.push(va);
         }
     }
 
@@ -288,6 +293,7 @@ mod tests {
 
     #[test]
     fn encoding_is_denser_than_vec_of_inst() {
+        assert_eq!(std::mem::size_of::<Inst>(), 40, "the module doc quotes this size");
         let trace = MaterializedTrace::from_gen(gen_for("libquantum", 10_000));
         let vec_bytes = 10_000 * std::mem::size_of::<Inst>();
         assert!(
