@@ -155,6 +155,50 @@ mod tests {
         assert_eq!(phys.free_frames(), 256);
     }
 
+    /// A clone of a fragmented allocator is a full copy: the same seeded
+    /// sequence of allocations and frees returns the same blocks on both
+    /// and leaves the same free lists behind.
+    #[test]
+    fn clone_of_fragmented_allocator_replays_identically() {
+        fn replay(phys: &mut BuddyAllocator) -> Vec<Option<FrameBlock>> {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut live = Vec::new();
+            let mut out = Vec::new();
+            for _ in 0..3000 {
+                let block = match rng.gen_range(0..3u32) {
+                    0 => phys.alloc(rng.gen_range(0..4u32)).ok(),
+                    1 => {
+                        let order = rng.gen_range(0..3u32);
+                        phys.alloc_random_block(order, &mut rng).ok()
+                    }
+                    _ if !live.is_empty() => {
+                        let block = live.swap_remove(rng.gen_range(0..live.len()));
+                        phys.free(block);
+                        out.push(Some(block));
+                        continue;
+                    }
+                    _ => None,
+                };
+                live.extend(block);
+                out.push(block);
+            }
+            out
+        }
+        let mut original = BuddyAllocator::new(1 << 13);
+        let mut rng = StdRng::seed_from_u64(5);
+        let _hold = fragment_memory(&mut original, 0.5, &mut rng).unwrap();
+        let mut copy = original.clone();
+        assert_eq!(copy.stats(), original.stats());
+        let from_original = replay(&mut original);
+        let from_copy = replay(&mut copy);
+        assert_eq!(from_original, from_copy);
+        let orders = from_original.iter().flatten().map(|b| b.order);
+        assert!(orders.clone().count() > 1000, "the sequence must do real work");
+        assert!(orders.max() > Some(0), "some multi-frame block must be handed out");
+        assert_eq!(copy.stats().free_blocks_per_order, original.stats().free_blocks_per_order);
+        assert_eq!(copy.free_frames(), original.free_frames());
+    }
+
     #[test]
     #[should_panic(expected = "free_fraction")]
     fn invalid_fraction_panics() {

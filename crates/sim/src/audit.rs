@@ -4,7 +4,7 @@
 //! scientific results rest on, at three points:
 //!
 //! - **ownership** ([`check_ownership`], inside
-//!   `crate::runner::try_prepare_run` while the buddy allocator is still
+//!   `crate::runner::try_prepare_on` while the buddy allocator is still
 //!   alive): every page-table mapping points at frames the allocator has
 //!   actually handed out, no two mappings share a frame, and huge
 //!   mappings are 512-aligned;

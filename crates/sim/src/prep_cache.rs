@@ -9,6 +9,22 @@
 //! fingerprint of `(spec, condition)` (the same FNV-1a machinery the
 //! checkpoint layer uses), so N configs × one workload prepare **once**.
 //!
+//! Two more pieces keep a sweep that outgrows the cache cheap:
+//!
+//! - **Shared fragmented base.** The Fragmented condition's shattered
+//!   memory depends only on `(memory_bytes, seed)`, not on the benchmark,
+//!   so the cache fragments it once (`runner::base_memory`) and every
+//!   Fragmented miss clones that allocator instead of re-fragmenting.
+//! - **Newest-idle eviction.** When an insert overflows the capacity, the
+//!   victim is the most recently inserted *idle* entry other than the new
+//!   one: one that only the map holds, so nobody is preparing it, waiting
+//!   on it or replaying its workload. With no idle entry the oldest goes.
+//!   A sweep that cycles through more workloads than the capacity then
+//!   keeps its first `capacity − 1` resident instead of evicting each one
+//!   just before its next use, as FIFO would. The sweep pool hands out
+//!   tasks in index order, so a workload whose configurations are still
+//!   being claimed is held by a running task and is not idle.
+//!
 //! Correctness rests on two facts:
 //!
 //! - preparation is deterministic in `(spec, cond)` — it seeds its own
@@ -20,7 +36,9 @@
 //!   cannot change results.
 //!
 //! Cached and uncached runs therefore produce byte-identical scientific
-//! payloads; only wall-clock differs. The cache is on by default; disable
+//! payloads; only wall-clock differs. The disabled path prepares every
+//! run from scratch, fragmentation included, and so stays an independent
+//! oracle for the cached one. The cache is on by default; disable
 //! it with `SIPT_PREP_CACHE=0` or the figure binaries' `--no-prep-cache`
 //! flag (see [`set_enabled`]). Hit/miss counters feed the report's
 //! `parallelism.prep_cache` block (schema v4).
@@ -34,15 +52,15 @@
 
 use crate::checkpoint::fnv1a64;
 use crate::error::SimError;
-use crate::runner::{try_prepare_run, Condition, PreparedRun};
-use sipt_mem::AddressSpace;
+use crate::runner::{self, Condition, PreparedRun};
+use sipt_mem::{AddressSpace, BuddyAllocator};
 use sipt_telemetry::json::Json;
 use sipt_telemetry::Span;
 use sipt_workloads::{MaterializedTrace, WorkloadSpec};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 
 /// A fully prepared, immutable, replayable workload: the address space
 /// (page table included) plus the materialized instruction stream
@@ -86,16 +104,50 @@ type CacheResult = Result<Arc<PreparedWorkload>, SimError>;
 /// One per-key slot: `None` until the first claimant finishes preparing.
 type Cell = Arc<Mutex<Option<CacheResult>>>;
 type MixCell = Arc<Mutex<Option<Arc<PreparedMix>>>>;
+/// A fragmented base memory and its `(memory_bytes, seed)` key.
+type FragmentedBase = ((u64, u64), Arc<BuddyAllocator>);
 
 #[derive(Default)]
 struct CacheState {
     map: HashMap<u64, Cell>,
-    /// Insertion order for FIFO eviction.
+    /// Keys in insertion order, oldest first.
     order: VecDeque<u64>,
 }
 
+impl CacheState {
+    /// Evict one entry if the map is over `capacity`: the newest idle
+    /// entry other than the just-inserted last one, else the oldest.
+    fn evict_over(&mut self, capacity: usize) {
+        if self.map.len() <= capacity {
+            return;
+        }
+        let newest = self.order.len() - 1;
+        let victim = (0..newest).rev().find(|&i| is_idle(&self.map[&self.order[i]])).unwrap_or(0);
+        if let Some(key) = self.order.remove(victim) {
+            self.map.remove(&key);
+        }
+    }
+}
+
+/// Whether only the map holds `cell`: nobody is preparing it or waiting
+/// on it, and no run holds its prepared workload. Called under the map
+/// lock, which every new holder of the cell needs, so the answer cannot
+/// go stale before the eviction; `try_lock` keeps it from blocking there.
+fn is_idle(cell: &Cell) -> bool {
+    if Arc::strong_count(cell) > 1 {
+        return false;
+    }
+    let slot = match cell.try_lock() {
+        Ok(slot) => slot,
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => return false,
+    };
+    !matches!(slot.as_ref(), Some(Ok(prepared)) if Arc::strong_count(prepared) > 1)
+}
+
 /// One preparation cache: single-core entries, mix entries, their
-/// hit/miss counters, a FIFO capacity and an enable switch.
+/// hit/miss counters, a capacity with newest-idle eviction, the shared
+/// fragmented base memory and an enable switch.
 ///
 /// The figure binaries share the process-wide instance behind the free
 /// functions of this module ([`get_or_prepare`], [`stats`], [`clear`],
@@ -105,11 +157,14 @@ struct CacheState {
 pub struct PrepCache {
     singles: Mutex<CacheState>,
     mixes: Mutex<HashMap<u64, MixCell>>,
+    /// The last fragmented base memory built; Fragmented misses with its
+    /// key clone it.
+    fragmented_base: Mutex<Option<FragmentedBase>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Maximum number of live single-core entries before FIFO eviction
-    /// (in-flight users keep their `Arc`s, so eviction never affects
-    /// running tasks).
+    /// Maximum number of resident single-core entries; an insert beyond
+    /// it evicts the newest idle entry (in-flight users keep their
+    /// `Arc`s, so eviction never affects running tasks).
     capacity: usize,
     /// Enable state: 0 = follow `SIPT_PREP_CACHE`, 1 = forced on,
     /// 2 = forced off (the `--no-prep-cache` flag).
@@ -160,8 +215,13 @@ pub fn fingerprint(spec: &WorkloadSpec, cond: &Condition) -> u64 {
     fnv1a64(format!("prep|{spec:?}|{cond:?}").as_bytes())
 }
 
+/// Prepare `(spec, cond)` from scratch: the disabled-cache path and the
+/// tests' oracle.
 fn prepare_fresh(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
-    let PreparedRun { asp, trace } = try_prepare_run(spec, cond)?;
+    materialize(runner::try_prepare_run(spec, cond)?)
+}
+
+fn materialize(PreparedRun { asp, trace }: PreparedRun) -> CacheResult {
     Ok(Arc::new(PreparedWorkload { asp: Arc::new(asp), trace: MaterializedTrace::from_gen(trace) }))
 }
 
@@ -194,6 +254,7 @@ impl PrepCache {
         Self {
             singles: Mutex::new(CacheState::default()),
             mixes: Mutex::new(HashMap::new()),
+            fragmented_base: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             capacity: capacity.max(1),
@@ -246,11 +307,7 @@ impl PrepCache {
                     let cell: Cell = Arc::new(Mutex::new(None));
                     state.map.insert(key, Arc::clone(&cell));
                     state.order.push_back(key);
-                    while state.map.len() > self.capacity {
-                        if let Some(old) = state.order.pop_front() {
-                            state.map.remove(&old);
-                        }
-                    }
+                    state.evict_over(self.capacity);
                     cell
                 }
             }
@@ -262,9 +319,30 @@ impl PrepCache {
         if let Some(result) = slot.as_ref() {
             return result.clone();
         }
-        let result = prepare_fresh(spec, cond);
+        let result = self.prepare(spec, cond);
         *slot = Some(result.clone());
         result
+    }
+
+    /// A cache miss's preparation: as [`prepare_fresh`], but a Fragmented
+    /// condition starts from a clone of the shared fragmented base.
+    fn prepare(&self, spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
+        if !cond.fragmented {
+            return prepare_fresh(spec, cond);
+        }
+        let key = (cond.memory_bytes, cond.seed);
+        let base = {
+            let mut memo = self.fragmented_base.lock().unwrap_or_else(PoisonError::into_inner);
+            match memo.as_ref() {
+                Some((k, base)) if *k == key => Arc::clone(base),
+                _ => {
+                    let base = Arc::new(runner::base_memory(spec, cond)?);
+                    *memo = Some((key, Arc::clone(&base)));
+                    base
+                }
+            }
+        };
+        materialize(runner::try_prepare_on(spec, cond, BuddyAllocator::clone(&base))?)
     }
 
     /// The prepared state of a whole mix, cached under
@@ -334,10 +412,12 @@ impl PrepCache {
         ])
     }
 
-    /// Drop all entries and zero the counters.
+    /// Drop all entries and the shared fragmented base, and zero the
+    /// counters.
     pub fn clear(&self) {
         *self.singles.lock().unwrap_or_else(PoisonError::into_inner) = CacheState::default();
         self.mixes.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        *self.fragmented_base.lock().unwrap_or_else(PoisonError::into_inner) = None;
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -349,7 +429,9 @@ pub struct PrepCacheStats {
     /// Lookups that found an existing entry (including one still being
     /// prepared by another worker).
     pub hits: u64,
-    /// Lookups that created a new entry (distinct workloads prepared).
+    /// Lookups that created a new entry, each one preparation. A workload
+    /// evicted and looked up again misses again, so once a sweep
+    /// outgrows the capacity this exceeds the distinct workloads.
     pub misses: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -368,8 +450,9 @@ pub fn stats_json() -> Json {
     global().stats_json()
 }
 
-/// Drop all entries of the process-wide cache and zero its counters
-/// (tests and long-lived drivers that want isolated accounting).
+/// Drop all entries and the shared fragmented base of the process-wide
+/// cache and zero its counters (tests and long-lived drivers that want
+/// isolated accounting).
 pub fn clear() {
     global().clear();
 }
@@ -377,6 +460,8 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_benchmarks;
+    use sipt_mem::Mapping;
     use sipt_workloads::benchmark;
 
     /// A fresh, enabled cache of the default capacity. Each test owns its
@@ -483,6 +568,118 @@ mod tests {
         }
         assert!(cache.stats().entries <= 64, "entries = {}", cache.stats().entries);
         assert_eq!(cache.stats().misses, 65);
+    }
+
+    /// Every page-table mapping of `prepared`, sorted by VPN.
+    fn mappings(prepared: &PreparedWorkload) -> Vec<(u64, Mapping)> {
+        let mut out: Vec<_> =
+            prepared.asp.page_table().iter().map(|(vpn, m)| (vpn.raw(), m)).collect();
+        out.sort_unstable_by_key(|&(vpn, _)| vpn);
+        out
+    }
+
+    /// `prepared` has the same trace and page table as `fresh`.
+    fn assert_same_preparation(prepared: &PreparedWorkload, fresh: &PreparedWorkload) {
+        assert_eq!(prepared.trace, fresh.trace);
+        assert_eq!(mappings(prepared), mappings(fresh));
+    }
+
+    #[test]
+    fn fragmented_preparations_from_the_shared_base_match_fresh() {
+        let cache = fresh_cache();
+        let cond = Condition { fragmented: true, memory_bytes: 2 << 30, ..Condition::quick() };
+        let names = smoke_benchmarks();
+        let prepare_and_check = |name: &str, cond: Condition| {
+            let spec = benchmark(name).unwrap();
+            let cached = cache.get_or_prepare(&spec, &cond).unwrap();
+            assert_same_preparation(&cached, &prepare_fresh(&spec, &cond).unwrap());
+        };
+        let base_key = || cache.fragmented_base.lock().unwrap().as_ref().map(|(key, _)| *key);
+        prepare_and_check(names[0], cond);
+        prepare_and_check(names[1], cond);
+        assert_eq!(base_key(), Some((cond.memory_bytes, cond.seed)));
+        // Another seed shatters memory differently: the base is rebuilt.
+        let reseeded = Condition { seed: cond.seed + 1, ..cond };
+        prepare_and_check(names[0], reseeded);
+        assert_eq!(base_key(), Some((cond.memory_bytes, reseeded.seed)));
+        cache.clear();
+        assert_eq!(base_key(), None, "clear drops the base");
+        prepare_and_check(names[2], cond);
+    }
+
+    /// Quick sjeng conditions with distinct seeds and a tiny window.
+    fn tiny_pairs(n: u64) -> Vec<(WorkloadSpec, Condition)> {
+        let spec = benchmark("sjeng").unwrap();
+        (0..n)
+            .map(|seed| {
+                (spec, Condition { seed, instructions: 50, warmup: 10, ..Condition::quick() })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn newest_idle_eviction_keeps_a_cyclic_sweep_resident() {
+        let cache = PrepCache::new(4);
+        cache.set_enabled(true);
+        let pairs = tiny_pairs(6);
+        for _sweep in 0..2 {
+            for (spec, cond) in &pairs {
+                for _ in 0..3 {
+                    let _ = cache.get_or_prepare(spec, cond).unwrap();
+                    assert!(cache.stats().entries <= 4, "entries = {}", cache.stats().entries);
+                }
+            }
+        }
+        // Pairs 0–2 stay resident; pairs 3–5 take turns in the last slot.
+        // FIFO would evict every pair before its second sweep: 12 misses.
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (9, 27));
+    }
+
+    #[test]
+    fn an_entry_in_use_is_not_evicted() {
+        let cache = PrepCache::new(4);
+        cache.set_enabled(true);
+        let pairs = tiny_pairs(5);
+        for (spec, cond) in &pairs[..3] {
+            let _ = cache.get_or_prepare(spec, cond).unwrap();
+        }
+        let (spec, cond) = &pairs[3];
+        let held = cache.get_or_prepare(spec, cond).unwrap();
+        let _ = cache.get_or_prepare(&pairs[4].0, &pairs[4].1).unwrap();
+        let again = cache.get_or_prepare(spec, cond).unwrap();
+        assert!(Arc::ptr_eq(&held, &again), "the held entry must stay resident");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (5, 1, 4));
+    }
+
+    #[test]
+    fn parallel_cyclic_lookups_match_fresh_and_stay_bounded() {
+        let cache = PrepCache::new(4);
+        cache.set_enabled(true);
+        let pairs = tiny_pairs(6);
+        let fresh: Vec<_> = pairs.iter().map(|(s, c)| prepare_fresh(s, c).unwrap()).collect();
+        // Six pairs, three lookups each, swept twice, claimed in order
+        // by four workers like the sweep pool's tasks.
+        let requests: Vec<usize> = (0..2).flat_map(|_| (0..6).flat_map(|p| [p; 3])).collect();
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    while let Some(&p) = requests.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (spec, cond) = &pairs[p];
+                        let prepared = cache.get_or_prepare(spec, cond).unwrap();
+                        assert!(cache.stats().entries <= 4, "entries = {}", cache.stats().entries);
+                        assert_same_preparation(&prepared, &fresh[p]);
+                    }
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, requests.len() as u64);
+        assert!(s.entries <= 4);
     }
 
     #[test]

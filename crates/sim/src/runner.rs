@@ -175,7 +175,49 @@ pub(crate) struct PreparedRun {
     pub trace: TraceGen,
 }
 
-/// [`PreparedRun`] construction with typed errors: workload sizing against physical
+/// The physical memory a preparation under `cond` starts from: a fresh
+/// buddy allocator of `cond.memory_bytes`, shattered by
+/// [`fragment_memory`] (half of memory left free, RNG seeded with
+/// `cond.seed ^ 0xF7A6`) when `cond.fragmented`. It depends only on
+/// `(memory_bytes, seed)` and the fragmented flag, so
+/// [`crate::prep_cache::PrepCache`] builds the fragmented base once and
+/// clones it for every benchmark.
+///
+/// # Errors
+///
+/// [`SimError::WorkloadTooLarge`], naming `spec`, when the
+/// fragmentation preamble fails.
+pub(crate) fn base_memory(
+    spec: &WorkloadSpec,
+    cond: &Condition,
+) -> Result<BuddyAllocator, SimError> {
+    let mut phys = BuddyAllocator::with_bytes(cond.memory_bytes);
+    if cond.fragmented {
+        let mut rng = StdRng::seed_from_u64(cond.seed ^ 0xF7A6);
+        // The hold only records the pinned frames; they stay allocated.
+        fragment_memory(&mut phys, 0.5, &mut rng).map_err(|e| SimError::WorkloadTooLarge {
+            workload: spec.name.to_owned(),
+            detail: format!("fragmentation preamble failed: {e}"),
+        })?;
+    }
+    Ok(phys)
+}
+
+/// [`PreparedRun`] construction with typed errors, from freshly built
+/// [`base_memory`]; see [`try_prepare_on`].
+///
+/// # Errors
+///
+/// As [`base_memory`] and [`try_prepare_on`].
+pub(crate) fn try_prepare_run(
+    spec: &WorkloadSpec,
+    cond: &Condition,
+) -> Result<PreparedRun, SimError> {
+    try_prepare_on(spec, cond, base_memory(spec, cond)?)
+}
+
+/// Build the workload's address space and trace on `phys`, which must
+/// equal [`base_memory`]`(spec, cond)`. Workload sizing against physical
 /// memory is untrusted input (huge-page mixes under fragmentation can
 /// exhaust a small memory), so exhaustion surfaces as
 /// [`SimError::WorkloadTooLarge`] rather than a process abort. With
@@ -186,21 +228,11 @@ pub(crate) struct PreparedRun {
 ///
 /// [`SimError::WorkloadTooLarge`] when allocation fails, or
 /// [`SimError::Audit`] on an ownership violation.
-pub(crate) fn try_prepare_run(
+pub(crate) fn try_prepare_on(
     spec: &WorkloadSpec,
     cond: &Condition,
+    mut phys: BuddyAllocator,
 ) -> Result<PreparedRun, SimError> {
-    let mut phys = BuddyAllocator::with_bytes(cond.memory_bytes);
-    let mut rng = StdRng::seed_from_u64(cond.seed ^ 0xF7A6);
-    let _hold = match cond.fragmented {
-        true => Some(fragment_memory(&mut phys, 0.5, &mut rng).map_err(|e| {
-            SimError::WorkloadTooLarge {
-                workload: spec.name.to_owned(),
-                detail: format!("fragmentation preamble failed: {e}"),
-            }
-        })?),
-        false => None,
-    };
     let mut asp = AddressSpace::new(0, cond.placement);
     let trace =
         TraceGen::build(spec, &mut asp, &mut phys, cond.warmup + cond.instructions, cond.seed)
