@@ -179,7 +179,7 @@ fn bench_machine(b: &mut Bencher) -> f64 {
 }
 
 /// The production measure loop itself: a full materialized trace through
-/// the block-replay kernel (batched translation, VPN-run coalescing,
+/// the block-replay kernel (translation-stream build and decode,
 /// monomorphized policy dispatch) on a warm machine. The derived MIPS is
 /// the kernel's isolated ceiling — no preparation, no warmup split.
 fn bench_block_replay(b: &mut Bencher) -> f64 {

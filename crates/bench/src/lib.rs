@@ -220,9 +220,7 @@ fn parse_valued_flag<I: Iterator<Item = String>>(
 /// (`--resume`, `--task-timeout MS`, `--task-retries N`), the
 /// workload-preparation cache switch (`--no-prep-cache` or
 /// `SIPT_PREP_CACHE=0`; the cache is on by default and does not change
-/// payload bytes, only wall-clock), the guarded TLB-batching switch
-/// (`--no-tlb-batch` or `SIPT_TLB_BATCH=0`; batching is on by default
-/// and is likewise payload-invariant, only wall-clock), and host span tracing
+/// payload bytes, only wall-clock), and host span tracing
 /// (`--trace-spans` or `SIPT_TRACE_SPANS=1`; exports a Perfetto-loadable
 /// `results/<name>.trace.json` without touching payload bytes).
 #[derive(Debug, Clone)]
@@ -263,9 +261,6 @@ impl Cli {
         isolation_from_args();
         if std::env::args().skip(1).any(|a| a == "--no-prep-cache") {
             sipt_sim::prep_cache::set_enabled(false);
-        }
-        if std::env::args().skip(1).any(|a| a == "--no-tlb-batch") {
-            sipt_sim::set_tlb_batch(false);
         }
         let worker = sipt_sim::supervisor::worker_mode();
         let trace_spans = !worker

@@ -8,10 +8,12 @@ use sipt_cache::WayPredictor;
 use sipt_core::{sipt_32k_2w, BlockPredictions, L1Policy, PredictorBank, SiptL1};
 use sipt_cpu::{unpack_meta_fields, MemResponse, OooConfig, OooEngine};
 use sipt_mem::{
-    AddressSpace, BuddyAllocator, PhysAddr, PhysFrameNum, PlacementPolicy, Translation, VirtAddr,
+    AddressSpace, BuddyAllocator, PhysAddr, PhysFrameNum, PlacementPolicy, Translation,
+    TranslationCache, VirtAddr,
 };
 use sipt_predictors::{IndexDeltaBuffer, PerceptronPredictor};
 use sipt_sim::{replay_trace, Machine, SystemKind};
+use sipt_tlb::{DataTlb, TlbConfig, TranslationStream};
 use sipt_workloads::{benchmark, MaterializedTrace, TraceGen};
 use std::time::Instant;
 
@@ -37,14 +39,7 @@ fn main() {
     let mut asp = AddressSpace::new(7, PlacementPolicy::LinuxDefault);
     let gen = TraceGen::build(&spec, &mut asp, &mut phys, INSTS, 42).unwrap();
     let trace = MaterializedTrace::from_gen(gen);
-    let mem_count: u64 = {
-        let mut c = trace.cursor();
-        let mut n = 0u64;
-        while let Some(b) = c.next_block(4096) {
-            n += b.mem_vas.len() as u64;
-        }
-        n
-    };
+    let mem_count = trace.mem_refs();
     println!(
         "trace {which}: {INSTS} insts, {mem_count} memory refs ({:.0}%)",
         100.0 * mem_count as f64 / INSTS as f64
@@ -147,19 +142,17 @@ fn main() {
         );
     }
 
-    // (d) translation phase alone (the production phase-1, both modes).
-    for (label, on) in [("phase1 translate (batched)", true), ("phase1 translate (plain)", false)] {
-        sipt_sim::set_tlb_batch(on);
-        let cfg = sipt_32k_2w();
-        let mut machine = Machine::new(asp.clone(), cfg, SystemKind::OooThreeLevel);
-        // Replay once to warm the TLB, then time full replays; the
-        // translate share is (replay - engine - L1) but also directly
-        // visible via the batched-vs-plain delta.
-        time(label, INSTS, || {
-            replay_trace(SystemKind::OooThreeLevel, &mut machine, &trace, "decomp").unwrap()
-        });
-    }
-    sipt_sim::set_tlb_batch(true);
+    // (d) translation alone: building the trace's page-change
+    // translation stream on a cold TLB, the work the first replay of a
+    // prepared workload does before its warmup.
+    time("translation stream build", INSTS, || {
+        let mut tlb = DataTlb::new(TlbConfig::default());
+        let mut xlat = TranslationCache::new();
+        TranslationStream::build(&mut tlb, trace.mem_vas(), |va| {
+            xlat.translate(asp.page_table(), va)
+        })
+        .unwrap()
+    });
 
     // (e) L1 access alone over the trace's memory VAs (identity
     // translation; hit-heavy by construction).
@@ -168,14 +161,7 @@ fn main() {
         ("l1 access (Ideal)", L1Policy::Ideal),
     ] {
         let mut l1 = SiptL1::new(sipt_32k_2w().with_policy(policy));
-        let vas: Vec<u64> = {
-            let mut c = trace.cursor();
-            let mut v = Vec::new();
-            while let Some(b) = c.next_block(4096) {
-                v.extend_from_slice(b.mem_vas);
-            }
-            v
-        };
+        let vas = trace.mem_vas();
         time(label, vas.len() as u64, || {
             let mut acc = 0u64;
             for (i, &raw) in vas.iter().enumerate() {
@@ -198,21 +184,9 @@ fn main() {
     // unchanged) so the perceptron trains at a realistic rate instead of
     // saturating, and deltas derive from the VA's index bits.
     let cfg = sipt_32k_2w();
-    let (pcs, mvas): (Vec<u64>, Vec<u64>) = {
-        let mut c = trace.cursor();
-        let (mut p, mut v) = (Vec::new(), Vec::new());
-        while let Some(b) = c.next_block(4096) {
-            let mut mi = 0usize;
-            for (&meta, &pc) in b.meta.iter().zip(b.pcs) {
-                if unpack_meta_fields(meta).2.is_some() {
-                    p.push(pc);
-                    v.push(b.mem_vas[mi]);
-                    mi += 1;
-                }
-            }
-        }
-        (p, v)
-    };
+    let pcs: Vec<u64> =
+        trace.cursor().filter(|inst| inst.mem.is_some()).map(|inst| inst.pc).collect();
+    let mvas = trace.mem_vas();
     let unchanged: Vec<bool> = mvas.iter().map(|&raw| (raw ^ (raw >> 7)) & 3 != 0).collect();
     let deltas: Vec<u64> = mvas.iter().map(|&raw| (raw >> 12) & 3).collect();
     let nmem = pcs.len() as u64;
@@ -238,7 +212,7 @@ fn main() {
     time("  way predictor", nmem, || {
         let mut wp = WayPredictor::new(cfg.geometry.sets(), cfg.geometry.ways);
         let mut acc = 0u64;
-        for &raw in &mvas {
+        for &raw in mvas {
             let set = (raw >> 6) % cfg.geometry.sets();
             let way = wp.predict(set);
             acc = acc.wrapping_add(u64::from(way));

@@ -6,21 +6,20 @@
 //! This module restructures the loop around fixed-size blocks of packed
 //! structure-of-arrays instructions ([`sipt_workloads::InstBlock`]):
 //!
-//! 1. **Batched translation with per-set MRU guards** — each block's
-//!    memory VAs are translated *before* the timing loop. Consecutive
-//!    accesses to the same 4 KiB page skip the set-associative TLB probe
-//!    entirely via [`sipt_tlb::DataTlb::translate_repeat`], and
-//!    *non-consecutive* repeats within the run are short-circuited by
-//!    [`sipt_tlb::TlbBatch`]: one guard slot per L1-TLB set remembers the
-//!    set's MRU page, so any re-reference of a set-MRU page skips the
-//!    probe too (the skipped `get` would only refresh an already-MRU
-//!    entry, so every future replacement decision is unchanged — see the
-//!    `TlbBatch` docs for the proof sketch). Translation state (TLB +
-//!    translation cache) is disjoint from the cache hierarchy and
-//!    translations are time-independent, so hoisting them out of the
-//!    timing loop is bit-identical by construction. `SIPT_TLB_BATCH=0`
-//!    (or [`set_tlb_batch`]`(false)`, the figure binaries'
-//!    `--no-tlb-batch`) falls back to the plain probe-per-page path.
+//! 1. **Translation from a page-change stream** — the TLB is not probed
+//!    in the timing loop. A [`sipt_tlb::TranslationStream`], built once
+//!    per prepared workload (or per [`replay_trace`] call), holds one word
+//!    per memory reference whose 4 KiB page differs from the previous
+//!    reference's; a [`sipt_tlb::StreamCursor`] decodes it in step with
+//!    the trace cursor. A same-page reference reuses the current frame as
+//!    an L1-TLB hit, a page change takes the next word (see the
+//!    `sipt_tlb::stream` docs for why that is exactly what the TLB would
+//!    answer). Translation state is disjoint from the cache hierarchy and
+//!    translations are time-independent, so taking them out of the timing
+//!    loop is bit-identical by construction. The cursor counts the
+//!    decoded outcomes, and the kernel adds them to the machine's TLB
+//!    statistics at the end of each call, so the warmup/measure
+//!    `reset_stats` boundary splits them as before.
 //! 2. **Monomorphized policy dispatch** — the `(SystemKind, L1Policy)`
 //!    pair is matched *once per run*; the inner loop calls
 //!    [`sipt_core::SiptL1::access_mono`] with a zero-sized
@@ -40,9 +39,9 @@
 //!    `block_merge_matches_sequential_recording` in `sipt-core`).
 //!
 //! A translation fault (an unmapped VA — possible only for *external*
-//! traces, never for generated workloads) surfaces as a typed
-//! [`SimError::Trace`] instead of a panic, before any timing state is
-//! advanced for the faulting block.
+//! traces, never for generated workloads) surfaces while the stream is
+//! built, as a typed [`SimError::Trace`] instead of a panic, before any
+//! timing state is advanced.
 //!
 //! The batch size comes from `SIPT_REPLAY_BATCH` (default
 //! [`DEFAULT_REPLAY_BATCH`]) or [`set_replay_batch`]; any batch size
@@ -57,8 +56,8 @@ use sipt_cpu::{
     OooConfig, OooEngine, RUN_FAST_MIN,
 };
 use sipt_dram::Dram;
-use sipt_mem::{VirtAddr, VirtPageNum};
-use sipt_tlb::{TlbBatch, TlbOutcome};
+use sipt_mem::{AddressSpace, VirtAddr};
+use sipt_tlb::{DataTlb, PageFault, StreamCursor, TlbConfig, TranslationStream};
 use sipt_workloads::{InstBlock, MaterializedTrace, TraceCursor};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -68,8 +67,8 @@ use std::sync::OnceLock;
 // ---------------------------------------------------------------------------
 
 /// Default instructions per replay block. Large enough to amortize the
-/// per-block dispatch and translation-buffer setup, small enough that the
-/// block's SoA slices and translation buffer stay L1-cache resident.
+/// per-block dispatch, small enough that the block's SoA slices stay
+/// L1-cache resident.
 pub const DEFAULT_REPLAY_BATCH: usize = 256;
 
 /// Programmatic batch override (0 = unset; takes precedence over the
@@ -100,43 +99,6 @@ pub fn replay_batch() -> usize {
         Some(n) => n.min(usize::MAX as u64) as usize,
         None => DEFAULT_REPLAY_BATCH,
     })
-}
-
-// ---------------------------------------------------------------------------
-// TLB-batching knob
-// ---------------------------------------------------------------------------
-
-/// Runtime enable state for guarded TLB batching: 0 = follow
-/// `SIPT_TLB_BATCH`, 1 = forced on, 2 = forced off (the figure binaries'
-/// `--no-tlb-batch` flag).
-static TLB_BATCH_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn tlb_batch_env_default() -> bool {
-    static PARSED: OnceLock<bool> = OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("SIPT_TLB_BATCH") {
-        // Unset or blank keeps the default (on); otherwise the shared
-        // switch semantics apply, so `SIPT_TLB_BATCH=0` disables.
-        Ok(v) => v.trim().is_empty() || crate::env::switch_value(&v),
-        Err(_) => true,
-    })
-}
-
-/// Force guarded TLB batching on or off for the rest of the process,
-/// overriding `SIPT_TLB_BATCH`. Batching is a pure wall-clock
-/// optimization — payloads are bit-identical either way (pinned by the
-/// golden-fingerprint and escape-hatch tests) — so the escape hatch
-/// exists for triage, not correctness.
-pub fn set_tlb_batch(on: bool) {
-    TLB_BATCH_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether the translation phase uses [`TlbBatch`] MRU guards.
-pub fn tlb_batch_enabled() -> bool {
-    match TLB_BATCH_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => tlb_batch_env_default(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -272,56 +234,67 @@ impl BlockEngine for InOrderEngine {
 // ---------------------------------------------------------------------------
 
 /// Replay up to `limit` instructions from `cursor` through `machine` on
-/// the system's core model, in blocks. Pass `usize::MAX` to drain the
-/// cursor. The cursor stops exactly at the boundary, so warmup and
-/// measurement are separate calls (VPN coalescing state never crosses the
-/// `reset_stats` boundary — it is per-block anyway).
+/// the system's core model, in blocks, translating from `xlat`, which
+/// must decode the stream built for the same trace and sit at the same
+/// memory reference as `cursor`. Pass `usize::MAX` to drain the cursor.
+/// Both cursors stop exactly at the boundary, so warmup and measurement
+/// are separate calls; the outcomes decoded in a call are added to the
+/// machine's TLB statistics before it returns.
 ///
-/// # Errors
+/// # Panics
 ///
-/// [`SimError::Trace`] when the stream references an unmapped virtual
-/// address (`workload` names the stream in the error).
+/// Panics if the stream was built for a different TLB configuration
+/// than the machine's.
 pub(crate) fn replay(
     system: SystemKind,
     machine: &mut Machine,
     cursor: &mut TraceCursor<'_>,
+    xlat: &mut StreamCursor<'_>,
     limit: usize,
-    workload: &str,
-) -> Result<CoreResult, SimError> {
+) -> CoreResult {
+    assert_eq!(
+        xlat.config(),
+        machine.tlb.config(),
+        "translation stream built for a different TLB configuration"
+    );
     // One match per *run*: 2 systems x 6 policies, each arm a fully
     // monomorphized kernel instance.
     macro_rules! dispatch_policies {
         ($engine:ty) => {
             match machine.l1.config().policy {
                 L1Policy::Vipt => {
-                    replay_mono::<$engine, policy_tags::Vipt>(machine, cursor, limit, workload)
+                    replay_mono::<$engine, policy_tags::Vipt>(machine, cursor, xlat, limit)
                 }
                 L1Policy::Ideal => {
-                    replay_mono::<$engine, policy_tags::Ideal>(machine, cursor, limit, workload)
+                    replay_mono::<$engine, policy_tags::Ideal>(machine, cursor, xlat, limit)
                 }
                 L1Policy::Pipt => {
-                    replay_mono::<$engine, policy_tags::Pipt>(machine, cursor, limit, workload)
+                    replay_mono::<$engine, policy_tags::Pipt>(machine, cursor, xlat, limit)
                 }
                 L1Policy::SiptNaive => {
-                    replay_mono::<$engine, policy_tags::SiptNaive>(machine, cursor, limit, workload)
+                    replay_mono::<$engine, policy_tags::SiptNaive>(machine, cursor, xlat, limit)
                 }
-                L1Policy::SiptBypass => replay_mono::<$engine, policy_tags::SiptBypass>(
-                    machine, cursor, limit, workload,
-                ),
-                L1Policy::SiptCombined => replay_mono::<$engine, policy_tags::SiptCombined>(
-                    machine, cursor, limit, workload,
-                ),
+                L1Policy::SiptBypass => {
+                    replay_mono::<$engine, policy_tags::SiptBypass>(machine, cursor, xlat, limit)
+                }
+                L1Policy::SiptCombined => {
+                    replay_mono::<$engine, policy_tags::SiptCombined>(machine, cursor, xlat, limit)
+                }
             }
         };
     }
-    match system {
+    let core = match system {
         SystemKind::OooThreeLevel => dispatch_policies!(OooEngine),
         SystemKind::InOrderTwoLevel => dispatch_policies!(InOrderEngine),
-    }
+    };
+    machine.tlb.record(xlat.take_stats());
+    core
 }
 
 /// Replay a whole materialized trace through `machine` — the public entry
 /// point for external traces (`trace_tool replay`, differential tests).
+/// The translation stream is built through the machine's own TLB, so
+/// replaying twice on one machine sees the TLB the first replay warmed.
 ///
 /// # Errors
 ///
@@ -334,29 +307,41 @@ pub fn replay_trace(
     trace: &MaterializedTrace,
     workload: &str,
 ) -> Result<CoreResult, SimError> {
-    let mut cursor = trace.cursor();
-    replay(system, machine, &mut cursor, usize::MAX, workload)
+    let Machine { asp, tlb, xlat, .. } = machine;
+    let stream =
+        TranslationStream::build(tlb, trace.mem_vas(), |va| xlat.translate(asp.page_table(), va))
+            .map_err(|fault| SimError::trace(workload, fault.to_string()))?;
+    Ok(replay(system, machine, &mut trace.cursor(), &mut stream.cursor(), usize::MAX))
+}
+
+/// Build `trace`'s translation stream on a cold TLB of the configuration
+/// [`Machine::new`] uses: what every run replaying `trace` from its start
+/// on a fresh [`Machine`] decodes. Walks go straight to the page table.
+///
+/// # Errors
+///
+/// [`PageFault`] at the first unmapped address.
+pub(crate) fn cold_translations(
+    asp: &AddressSpace,
+    trace: &MaterializedTrace,
+) -> Result<TranslationStream, PageFault> {
+    let mut tlb = DataTlb::new(TlbConfig::default());
+    TranslationStream::build(&mut tlb, trace.mem_vas(), |va| asp.page_table().translate(va))
 }
 
 /// The monomorphized kernel body: everything the per-access path did, with
-/// translation batched per block and the policy constant-folded.
+/// translation decoded from the stream and the policy constant-folded.
 fn replay_mono<E: BlockEngine, P: PolicyTag>(
     machine: &mut Machine,
     cursor: &mut TraceCursor<'_>,
+    xlat: &mut StreamCursor<'_>,
     limit: usize,
-    workload: &str,
-) -> Result<CoreResult, SimError> {
+) -> CoreResult {
     let batch = replay_batch();
     let mut engine = E::fresh();
-    let mut xbuf: Vec<TlbOutcome> = Vec::with_capacity(batch.min(1 << 16));
-    // Per-set MRU guards, fresh per replay call: nothing mutates the
-    // L1-TLB arrays between blocks of one call except the translation
-    // phase itself, so the guards stay valid across blocks.
-    let batching = tlb_batch_enabled();
-    let mut guards = TlbBatch::for_tlb(machine.tlb());
     // Predictor staging: sweep (pc, unchanged) windows through the fused
     // bank ahead of the timing loop (lazily, inside `step_block`, so the
-    // scratch stays cache-resident). `unchanged` derives from the batched
+    // scratch stays cache-resident). `unchanged` derives from the decoded
     // translations alone, so staging needs nothing from timing.
     let staging = predictor_stage_enabled() && machine.l1().staging_eligible();
     let mut preds = BlockPredictions::new();
@@ -365,47 +350,24 @@ fn replay_mono<E: BlockEngine, P: PolicyTag>(
     // 1:1 (the runner's default), per-access recording otherwise.
     let block_tlm = machine.l1().telemetry_block_eligible();
     let mut blk = BlockTelemetry::new();
+    let Machine { l1, lower, .. } = machine;
+    // Decode on a local copy, written back at the end, so the cursor's
+    // fields can live in registers across the timing loop.
+    let mut x = *xlat;
     let mut remaining = limit;
     while remaining > 0 {
         let Some(block) = cursor.next_block(batch.min(remaining)) else { break };
         remaining -= block.len();
-
-        // Disjoint field borrows: the translation phase needs tlb + xlat +
-        // asp; the timing phase needs l1 + lower.
-        let Machine { asp, tlb, xlat, l1, lower, .. } = machine;
-
-        // Phase 1: batch-translate the block's memory VAs. `prev_vpn`
-        // tracks VPN runs (the previous outcome is xbuf's last entry);
-        // non-consecutive set-MRU repeats fall to the guard check.
-        xbuf.clear();
-        let mut prev_vpn: Option<VirtPageNum> = None;
-        for &raw in block.mem_vas {
-            let va = VirtAddr::new(raw);
-            let vpn = va.vpn();
-            let outcome = if prev_vpn == Some(vpn) {
-                let prev = xbuf.last().expect("a VPN run starts with a full translation");
-                tlb.translate_repeat(prev, va)
-            } else if batching {
-                tlb.translate_batched(&mut guards, va, |va| xlat.translate(asp.page_table(), va))
-                    .map_err(|fault| SimError::trace(workload, fault.to_string()))?
-            } else {
-                tlb.translate_with(va, |va| xlat.translate(asp.page_table(), va))
-                    .map_err(|fault| SimError::trace(workload, fault.to_string()))?
-            };
-            prev_vpn = Some(vpn);
-            xbuf.push(outcome);
-        }
-
-        // Phase 2: step the timing engine over the block (staging the
-        // predictor front-end in windows as it goes), then drain the
-        // block-local telemetry (if engaged) in one merge.
+        // Step the timing engine over the block (staging the predictor
+        // front-end in windows as it goes), then drain the block-local
+        // telemetry (if engaged) in one merge.
         if block_tlm {
             step_block::<E, P, true>(
                 &mut engine,
                 l1,
                 lower,
                 &block,
-                &xbuf,
+                &mut x,
                 staging,
                 &mut preds,
                 &mut blk,
@@ -417,29 +379,30 @@ fn replay_mono<E: BlockEngine, P: PolicyTag>(
                 l1,
                 lower,
                 &block,
-                &xbuf,
+                &mut x,
                 staging,
                 &mut preds,
                 &mut blk,
             );
         }
     }
-    Ok(engine.result())
+    *xlat = x;
+    engine.result()
 }
 
-/// Phase 2 of the kernel: step the timing engine over one block. Memory
-/// instructions consume pre-translated outcomes in order; the memory
-/// closure is the body of `Machine::access` minus the TLB probe. `BLK_TLM`
-/// selects block-local telemetry accumulation at compile time, so the
-/// per-access path carries no telemetry-mode branch in either instance.
+/// Step the timing engine over one block. Memory instructions take their
+/// translations from `xlat` in order; the memory closure is the body of
+/// `Machine::access` minus the TLB probe. `BLK_TLM` selects block-local
+/// telemetry accumulation at compile time, so the per-access path carries
+/// no telemetry-mode branch in either instance.
 #[inline]
-#[allow(clippy::too_many_arguments)] // the phase-2 kernel entry: every argument is distinct per-block state
+#[allow(clippy::too_many_arguments)] // the kernel's block entry: every argument is distinct per-block state
 fn step_block<E: BlockEngine, P: PolicyTag, const BLK_TLM: bool>(
     engine: &mut E,
     l1: &mut SiptL1,
     lower: &mut LowerHierarchy<Dram>,
     block: &InstBlock<'_>,
-    xbuf: &[TlbOutcome],
+    xlat: &mut StreamCursor<'_>,
     staging: bool,
     preds: &mut BlockPredictions,
     blk: &mut BlockTelemetry,
@@ -478,10 +441,10 @@ fn step_block<E: BlockEngine, P: PolicyTag, const BLK_TLM: bool>(
         let is_store = mem_store.expect("meta_has_mem guarantees a memory op");
         let pc = block.pcs[i];
         let va = VirtAddr::new(block.mem_vas[mem_idx]);
-        let outcome = xbuf[mem_idx];
         if staging && mem_idx == stage_next {
-            stage_next = stage_window(l1, block, xbuf, i, mem_idx, preds);
+            stage_next = stage_window(l1, block, *xlat, i, mem_idx, preds);
         }
+        let outcome = xlat.translate(va);
         let staged = preds.get(mem_idx);
         mem_idx += 1;
         i += 1;
@@ -520,7 +483,7 @@ fn step_block<E: BlockEngine, P: PolicyTag, const BLK_TLM: bool>(
             MemResponse { latency, port_slots: access.array_reads.max(1) }
         });
     }
-    debug_assert_eq!(mem_idx, xbuf.len(), "every memory VA consumed");
+    debug_assert_eq!(mem_idx, block.mem_vas.len(), "every memory VA consumed");
 }
 
 /// Memory accesses staged per window. Sized so the scratch (stamps +
@@ -532,13 +495,15 @@ const STAGE_WINDOW: usize = 64;
 
 /// Stage the next window of memory accesses starting at instruction
 /// `inst_idx` (block-level memory-access index `mem_idx`): gather up to
-/// [`STAGE_WINDOW`] (pc, unchanged) pairs ahead of the timing cursor and
-/// sweep them through the fused predictor bank. Returns the block-level
-/// access index at which the following window begins.
+/// [`STAGE_WINDOW`] (pc, unchanged) pairs ahead of the timing cursor,
+/// decoding their translations on `xlat`, a copy of the kernel's stream
+/// cursor at `mem_idx`, and sweep them through the fused predictor bank.
+/// Returns the block-level access index at which the following window
+/// begins.
 fn stage_window(
     l1: &SiptL1,
     block: &InstBlock<'_>,
-    xbuf: &[TlbOutcome],
+    mut xlat: StreamCursor<'_>,
     inst_idx: usize,
     mem_idx: usize,
     preds: &mut BlockPredictions,
@@ -554,7 +519,7 @@ fn stage_window(
         if meta_has_mem(meta[i]) {
             pcs[n] = block.pcs[i];
             let va = VirtAddr::new(block.mem_vas[mi]);
-            unchanged[n] = xbuf[mi].translation.index_bits_unchanged(va, spec_bits);
+            unchanged[n] = xlat.translate(va).translation.index_bits_unchanged(va, spec_bits);
             mi += 1;
             n += 1;
         }
@@ -587,11 +552,14 @@ mod tests {
         trace: &MaterializedTrace,
         warmup: usize,
     ) -> (CoreResult, Machine) {
+        let stream = cold_translations(&asp, trace).unwrap();
         let mut machine = Machine::new(asp, l1, system);
         let mut cursor = trace.cursor();
-        replay(system, &mut machine, &mut cursor, warmup, "test").unwrap();
+        let mut xlat = stream.cursor();
+        replay(system, &mut machine, &mut cursor, &mut xlat, warmup);
         machine.reset_stats();
-        let core = replay(system, &mut machine, &mut cursor, usize::MAX, "test").unwrap();
+        let core = replay(system, &mut machine, &mut cursor, &mut xlat, usize::MAX);
+        assert!(xlat.is_exhausted(), "every translation consumed");
         (core, machine)
     }
 
@@ -609,6 +577,12 @@ mod tests {
         let core = crate::runner::run_core(system, cursor, &mut machine);
         assert!(machine.take_fault().is_none());
         (core, machine)
+    }
+
+    fn assert_same_machines(a: &Machine, b: &Machine, tag: &str) {
+        assert_eq!(a.l1().stats(), b.l1().stats(), "{tag}");
+        assert_eq!(a.tlb().stats(), b.tlb().stats(), "{tag}");
+        assert_eq!(a.lower().llc_stats(), b.lower().llc_stats(), "{tag}");
     }
 
     /// The load-bearing invariant: the block kernel is bit-identical to
@@ -629,25 +603,35 @@ mod tests {
             let (ref_core, ref_machine) =
                 run_per_access(system, l1.clone(), asp_ref, &trace, 3_000);
             for batch in [1usize, 7, 256] {
-                for batching in [true, false] {
-                    set_replay_batch(batch);
-                    set_tlb_batch(batching);
-                    let (asp, trace2) = prepared("mcf", 12_000);
-                    assert_eq!(trace2, trace, "preparation is deterministic");
-                    let (core, machine) = run_block(system, l1.clone(), asp, &trace2, 3_000);
-                    let tag = format!("{system:?}/{policy:?} batch {batch} tlb_batch {batching}");
-                    assert_eq!(core, ref_core, "{tag}");
-                    assert_eq!(machine.l1().stats(), ref_machine.l1().stats(), "{tag}");
-                    assert_eq!(machine.tlb().stats(), ref_machine.tlb().stats(), "{tag}");
-                    assert_eq!(
-                        machine.lower().llc_stats(),
-                        ref_machine.lower().llc_stats(),
-                        "{tag}"
-                    );
-                }
+                set_replay_batch(batch);
+                let (asp, trace2) = prepared("mcf", 12_000);
+                assert_eq!(trace2, trace, "preparation is deterministic");
+                let (core, machine) = run_block(system, l1.clone(), asp, &trace2, 3_000);
+                let tag = format!("{system:?}/{policy:?} batch {batch}");
+                assert_eq!(core, ref_core, "{tag}");
+                assert_same_machines(&machine, &ref_machine, &tag);
             }
             set_replay_batch(DEFAULT_REPLAY_BATCH);
-            set_tlb_batch(true);
+        }
+    }
+
+    /// `replay_trace` translates through the machine's own TLB, so a
+    /// second replay on the same machine starts from the TLB the first
+    /// one warmed — exactly as the per-access path run twice does.
+    #[test]
+    fn replay_trace_twice_matches_per_access_twice() {
+        for system in [SystemKind::OooThreeLevel, SystemKind::InOrderTwoLevel] {
+            let (asp, trace) = prepared("omnetpp", 6_000);
+            let mut block = Machine::new(asp.clone(), sipt_32k_2w(), system);
+            let mut reference = Machine::new(asp, sipt_32k_2w(), system);
+            for pass in 0..2 {
+                let core = replay_trace(system, &mut block, &trace, "test").unwrap();
+                let ref_core = crate::runner::run_core(system, trace.cursor(), &mut reference);
+                assert!(reference.take_fault().is_none());
+                let tag = format!("{system:?} pass {pass}");
+                assert_eq!(core, ref_core, "{tag}");
+                assert_same_machines(&block, &reference, &tag);
+            }
         }
     }
 
@@ -671,14 +655,17 @@ mod tests {
     #[test]
     fn limit_zero_runs_nothing() {
         let (asp, trace) = prepared("sjeng", 500);
+        let stream = cold_translations(&asp, &trace).unwrap();
         let mut machine = Machine::new(asp, sipt_32k_2w(), SystemKind::OooThreeLevel);
         let mut cursor = trace.cursor();
-        let core = replay(SystemKind::OooThreeLevel, &mut machine, &mut cursor, 0, "test").unwrap();
+        let mut xlat = stream.cursor();
+        let core = replay(SystemKind::OooThreeLevel, &mut machine, &mut cursor, &mut xlat, 0);
         assert_eq!(core.instructions, 0);
-        // The cursor did not advance: a full drain still sees everything.
-        let rest = replay(SystemKind::OooThreeLevel, &mut machine, &mut cursor, usize::MAX, "test")
-            .unwrap();
+        // Neither cursor advanced: a full drain still sees everything.
+        let rest =
+            replay(SystemKind::OooThreeLevel, &mut machine, &mut cursor, &mut xlat, usize::MAX);
         assert_eq!(rest.instructions, 500);
+        assert!(xlat.is_exhausted());
     }
 
     #[test]
@@ -688,13 +675,5 @@ mod tests {
         set_replay_batch(0); // clears the override back to env/default
         set_replay_batch(DEFAULT_REPLAY_BATCH);
         assert_eq!(replay_batch(), DEFAULT_REPLAY_BATCH);
-    }
-
-    #[test]
-    fn tlb_batch_override_wins_over_env() {
-        set_tlb_batch(false);
-        assert!(!tlb_batch_enabled());
-        set_tlb_batch(true);
-        assert!(tlb_batch_enabled());
     }
 }

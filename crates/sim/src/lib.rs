@@ -37,7 +37,7 @@ pub mod wire;
 
 pub use block::{
     predictor_stage_enabled, replay_batch, replay_trace, set_predictor_stage, set_replay_batch,
-    set_tlb_batch, tlb_batch_enabled, DEFAULT_REPLAY_BATCH,
+    DEFAULT_REPLAY_BATCH,
 };
 pub use error::SimError;
 pub use machine::{Machine, SystemKind};

@@ -13,7 +13,7 @@
 
 use crate::machine::{Machine, SystemKind};
 use crate::metrics::{PhaseProfile, RunMetrics};
-use crate::prep_cache::{self, PreparedMix, PreparedMixCore};
+use crate::prep_cache::{self, PreparedMix, PreparedMixCore, PreparedWorkload};
 use crate::runner::{collect, Condition};
 use sipt_core::L1Config;
 use sipt_mem::{fragment_memory, AddressSpace, BuddyAllocator};
@@ -117,30 +117,21 @@ pub fn run_mix(mix_name: &str, l1: L1Config, cond: &Condition) -> MixMetrics {
 }
 
 /// Replay one prepared core of a mix: warmup, reset, measure, collect.
-/// Mixes are generated workloads (always fully mapped), so a trace error
-/// here is a simulator bug and panics like the other trusted-input paths.
+/// Mixes are generated workloads (always fully mapped), so a translation
+/// fault here is a simulator bug and panics like the other trusted-input
+/// paths.
 fn run_mix_core(prep: &PreparedMixCore, l1: L1Config, cond: &Condition) -> RunMetrics {
-    let mut machine = Machine::new_shared(Arc::clone(&prep.asp), l1, SystemKind::OooThreeLevel);
+    let system = SystemKind::OooThreeLevel;
+    let workload = &prep.workload;
+    let mut machine = Machine::new_shared(Arc::clone(&workload.asp), l1, system);
     let allocated = Instant::now();
-    let mut cursor = prep.trace.cursor();
-    crate::block::replay(
-        SystemKind::OooThreeLevel,
-        &mut machine,
-        &mut cursor,
-        cond.warmup as usize,
-        &prep.app,
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+    let stream = workload.translations().unwrap_or_else(|fault| panic!("{}: {fault}", prep.app));
+    let mut cursor = workload.trace.cursor();
+    let mut xlat = stream.cursor();
+    crate::block::replay(system, &mut machine, &mut cursor, &mut xlat, cond.warmup as usize);
     machine.reset_stats();
     let warmed = Instant::now();
-    let core = crate::block::replay(
-        SystemKind::OooThreeLevel,
-        &mut machine,
-        &mut cursor,
-        usize::MAX,
-        &prep.app,
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+    let core = crate::block::replay(system, &mut machine, &mut cursor, &mut xlat, usize::MAX);
     let measure_secs = warmed.elapsed().as_secs_f64();
     crate::metrics::record_simulation(core.instructions, measure_secs);
     let phases = PhaseProfile {
@@ -185,11 +176,9 @@ fn prepare_mix(mix_name: &str, apps: &[&str], cond: &Condition) -> PreparedMix {
             cond.seed + core_id as u64,
         )
         .unwrap_or_else(|e| panic!("{mix_name}/{app}: {e}"));
-        let trace = MaterializedTrace::from_gen(gen);
         cores.push(PreparedMixCore {
             app: (*app).to_owned(),
-            asp: Arc::new(asp),
-            trace,
+            workload: PreparedWorkload::new(asp, MaterializedTrace::from_gen(gen)),
             allocate_ms: t0.elapsed().as_secs_f64() * 1e3,
         });
     }

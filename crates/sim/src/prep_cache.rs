@@ -31,9 +31,10 @@
 //!   RNGs from `cond.seed` and never consults ambient state — so a cached
 //!   entry is bit-identical to a fresh preparation, and
 //! - the prepared state is immutable during replay — the address space is
-//!   only read and the [`sipt_workloads::MaterializedTrace`] replays
-//!   through cursors — so sharing one copy across concurrent pool workers
-//!   cannot change results.
+//!   only read, the [`sipt_workloads::MaterializedTrace`] replays through
+//!   cursors, and the translation stream is built once, by the first
+//!   replay, as a function of those two alone — so sharing one copy
+//!   across concurrent pool workers cannot change results.
 //!
 //! Cached and uncached runs therefore produce byte-identical scientific
 //! payloads; only wall-clock differs. The disabled path prepares every
@@ -56,6 +57,7 @@ use crate::runner::{self, Condition, PreparedRun};
 use sipt_mem::{AddressSpace, BuddyAllocator};
 use sipt_telemetry::json::Json;
 use sipt_telemetry::Span;
+use sipt_tlb::{PageFault, TranslationStream};
 use sipt_workloads::{MaterializedTrace, WorkloadSpec};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -64,7 +66,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 
 /// A fully prepared, immutable, replayable workload: the address space
 /// (page table included) plus the materialized instruction stream
-/// covering `warmup + instructions`.
+/// covering `warmup + instructions`, and its translation stream, built by
+/// the first run that replays it.
 #[derive(Debug)]
 pub struct PreparedWorkload {
     /// The workload's address space (owns the page table); shared by
@@ -72,19 +75,40 @@ pub struct PreparedWorkload {
     pub asp: Arc<AddressSpace>,
     /// The drained, replayable trace.
     pub trace: MaterializedTrace,
+    /// Built once, by the first replay, so its cost lands in that run's
+    /// warmup and a preparation that is never replayed never builds one.
+    pub(crate) translations: OnceLock<Result<TranslationStream, PageFault>>,
 }
 
-/// One prepared core of a multiprogrammed mix: the per-process address
-/// space and trace, plus the wall-clock cost of preparing it (attributed
-/// to the core's `allocate` phase on every replay).
+impl PreparedWorkload {
+    pub(crate) fn new(asp: AddressSpace, trace: MaterializedTrace) -> Self {
+        Self { asp: Arc::new(asp), trace, translations: OnceLock::new() }
+    }
+
+    /// The trace's page-change translation stream on a cold TLB, built on
+    /// the first call (concurrent first callers wait for it) and shared
+    /// by every later one.
+    ///
+    /// # Errors
+    ///
+    /// [`PageFault`] when the trace references unmapped memory.
+    pub fn translations(&self) -> Result<&TranslationStream, PageFault> {
+        self.translations
+            .get_or_init(|| crate::block::cold_translations(&self.asp, &self.trace))
+            .as_ref()
+            .map_err(|fault| *fault)
+    }
+}
+
+/// One prepared core of a multiprogrammed mix: the per-process workload,
+/// plus the wall-clock cost of preparing it (attributed to the core's
+/// `allocate` phase on every replay).
 #[derive(Debug)]
 pub struct PreparedMixCore {
     /// Benchmark name of the app on this core.
     pub app: String,
-    /// The process's address space.
-    pub asp: Arc<AddressSpace>,
-    /// The core's replayable trace.
-    pub trace: MaterializedTrace,
+    /// The process's address space and trace.
+    pub workload: PreparedWorkload,
     /// Wall-clock milliseconds spent allocating + generating this core's
     /// workload at preparation time.
     pub allocate_ms: f64,
@@ -222,7 +246,7 @@ fn prepare_fresh(spec: &WorkloadSpec, cond: &Condition) -> CacheResult {
 }
 
 fn materialize(PreparedRun { asp, trace }: PreparedRun) -> CacheResult {
-    Ok(Arc::new(PreparedWorkload { asp: Arc::new(asp), trace: MaterializedTrace::from_gen(trace) }))
+    Ok(Arc::new(PreparedWorkload::new(asp, MaterializedTrace::from_gen(trace))))
 }
 
 /// The prepared workload for `(spec, cond)` from the process-wide cache;

@@ -17,6 +17,7 @@
 use crate::error::SimError;
 use crate::machine::{Machine, SystemKind};
 use crate::metrics::{PhaseProfile, RunMetrics};
+use crate::prep_cache::PreparedWorkload;
 use sipt_core::L1Config;
 use sipt_cpu::{simulate_inorder, simulate_ooo, CoreResult, InOrderConfig, OooConfig};
 use sipt_mem::{fragment_memory, AddressSpace, BuddyAllocator, PlacementPolicy, TranslationCache};
@@ -328,47 +329,75 @@ fn try_run_prepared(
     kernel: ReplayKernel,
 ) -> Result<RunMetrics, SimError> {
     let t0 = Instant::now();
-    let (prepared, mut machine) = {
+    let prepared = {
         let _phase = Span::enter(format!("allocate {}", spec.name), "run.phase");
-        let prepared = crate::prep_cache::get_or_prepare(spec, cond)?;
-        let mut machine = Machine::new_shared(Arc::clone(&prepared.asp), l1, system);
-        machine
-            .l1_mut()
-            .attach_telemetry_sampled(trace_events, crate::observability::flight_sample_every());
-        (prepared, machine)
+        crate::prep_cache::get_or_prepare(spec, cond)?
     };
+    replay_prepared(spec.name, &prepared, l1, system, cond, trace_events, kernel, t0)
+}
+
+/// Warm up, reset and measure `prepared` on a fresh machine. `t0` is when
+/// the run started, so the allocate phase covers the preparation lookup.
+/// The block kernel translates from the workload's memoized translation
+/// stream; the first run to replay the workload builds it, inside its
+/// warmup phase.
+///
+/// # Errors
+///
+/// [`SimError::Trace`] when the workload's stream references unmapped
+/// memory, or [`SimError::Audit`] (with `SIPT_AUDIT=1`).
+#[allow(clippy::too_many_arguments)] // one run's full description, plus its start time
+pub(crate) fn replay_prepared(
+    name: &str,
+    prepared: &PreparedWorkload,
+    l1: L1Config,
+    system: SystemKind,
+    cond: &Condition,
+    trace_events: usize,
+    kernel: ReplayKernel,
+    t0: Instant,
+) -> Result<RunMetrics, SimError> {
+    let mut machine = Machine::new_shared(Arc::clone(&prepared.asp), l1, system);
+    machine
+        .l1_mut()
+        .attach_telemetry_sampled(trace_events, crate::observability::flight_sample_every());
     let allocated = Instant::now();
 
+    let mut cursor = prepared.trace.cursor();
+    let mut xlat = match kernel {
+        ReplayKernel::Block => Some(
+            prepared
+                .translations()
+                .map_err(|fault| SimError::trace(name, fault.to_string()))?
+                .cursor(),
+        ),
+        ReplayKernel::PerAccess => None,
+    };
     // One replay phase: `limit` instructions through the selected kernel.
     // The per-access loop keeps the timing model alive across an unmapped
-    // VA (the machine latches the fault), so it is checked after the run;
-    // the block kernel surfaces the fault directly.
-    let run_phase = |machine: &mut Machine,
-                     cursor: &mut sipt_workloads::TraceCursor<'_>,
-                     limit: usize|
-     -> Result<sipt_cpu::CoreResult, SimError> {
-        match kernel {
-            ReplayKernel::Block => crate::block::replay(system, machine, cursor, limit, spec.name),
-            ReplayKernel::PerAccess => {
-                let core = run_core(system, (&mut *cursor).take(limit), machine);
+    // VA (the machine latches the fault), so it is checked after the run.
+    let mut run_phase = |machine: &mut Machine, limit: usize| -> Result<CoreResult, SimError> {
+        match &mut xlat {
+            Some(xlat) => Ok(crate::block::replay(system, machine, &mut cursor, xlat, limit)),
+            None => {
+                let core = run_core(system, (&mut cursor).take(limit), machine);
                 match machine.take_fault() {
                     None => Ok(core),
-                    Some(fault) => Err(SimError::trace(spec.name, fault.to_string())),
+                    Some(fault) => Err(SimError::trace(name, fault.to_string())),
                 }
             }
         }
     };
 
-    let mut cursor = prepared.trace.cursor();
     {
-        let _phase = Span::enter(format!("warmup {}", spec.name), "run.phase");
-        run_phase(&mut machine, &mut cursor, cond.warmup as usize)?;
+        let _phase = Span::enter(format!("warmup {name}"), "run.phase");
+        run_phase(&mut machine, cond.warmup as usize)?;
         machine.reset_stats();
     }
     let warmed = Instant::now();
     let core = {
-        let _phase = Span::enter(format!("measure {}", spec.name), "run.phase");
-        run_phase(&mut machine, &mut cursor, usize::MAX)?
+        let _phase = Span::enter(format!("measure {name}"), "run.phase");
+        run_phase(&mut machine, usize::MAX)?
     };
     let measured = Instant::now();
 
@@ -388,7 +417,7 @@ fn try_run_prepared(
     if crate::audit::enabled() {
         crate::audit::check_l1(machine.l1())?;
     }
-    let mut metrics = collect(spec.name, core, &machine);
+    let mut metrics = collect(name, core, &machine);
     metrics.phases = phases;
     Ok(metrics)
 }
@@ -580,6 +609,40 @@ mod tests {
         );
         assert!(m.l2.is_none());
         assert!(m.ipc() > 0.1 && m.ipc() <= 2.0);
+    }
+
+    /// Two runs of one prepared workload share one translation stream,
+    /// built by the first, and both match the per-access reference.
+    #[test]
+    fn runs_of_one_prepared_workload_build_the_stream_once() {
+        let spec = benchmark("omnetpp").unwrap();
+        let cond = Condition::quick();
+        let cache = crate::prep_cache::PrepCache::new(1);
+        cache.set_enabled(true);
+        let prepared = cache.get_or_prepare(&spec, &cond).unwrap();
+        assert!(prepared.translations.get().is_none(), "preparation builds no stream");
+        let reference =
+            run_spec_per_access(&spec, sipt_32k_2w(), SystemKind::OooThreeLevel, &cond).unwrap();
+        let mut built = None;
+        for run in 0..2 {
+            let m = replay_prepared(
+                spec.name,
+                &prepared,
+                sipt_32k_2w(),
+                SystemKind::OooThreeLevel,
+                &cond,
+                0,
+                ReplayKernel::Block,
+                Instant::now(),
+            )
+            .unwrap();
+            let stream: *const _ = prepared.translations.get().expect("the run built the stream");
+            assert_eq!(*built.get_or_insert(stream), stream, "run {run} rebuilt the stream");
+            assert_eq!(m.core, reference.core, "run {run}");
+            assert_eq!(m.sipt, reference.sipt, "run {run}");
+            assert_eq!(m.tlb, reference.tlb, "run {run}");
+            assert_eq!(m.llc, reference.llc, "run {run}");
+        }
     }
 
     #[test]

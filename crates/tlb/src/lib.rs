@@ -25,9 +25,11 @@
 //! ```
 
 pub mod lru;
+mod stream;
 
 use lru::LruSetAssoc;
 use sipt_mem::{PageSize, PageTable, Translation, VirtAddr, VirtPageNum, PAGES_PER_HUGE_PAGE};
+pub use stream::{StreamCursor, TranslationStream};
 
 /// Configuration of the two-level TLB (defaults follow the paper's
 /// Table II).
@@ -62,6 +64,19 @@ impl Default for TlbConfig {
             l2_ways: 8,
             l2_latency: 7,
             walk_latency: 50,
+        }
+    }
+}
+
+impl TlbConfig {
+    /// Total cycles to produce a translation found at `level`: the L1
+    /// latency, plus the L2 latency on an L1 miss, plus the walk on an L2
+    /// miss.
+    pub fn latency(&self, level: TlbHitLevel) -> u64 {
+        match level {
+            TlbHitLevel::L1 => self.l1_latency,
+            TlbHitLevel::L2 => self.l1_latency + self.l2_latency,
+            TlbHitLevel::Walk => self.l1_latency + self.l2_latency + self.walk_latency,
         }
     }
 }
@@ -119,6 +134,16 @@ pub struct TlbStats {
 }
 
 impl TlbStats {
+    /// Count one translation satisfied at `level`.
+    #[inline]
+    pub fn count(&mut self, level: TlbHitLevel) {
+        match level {
+            TlbHitLevel::L1 => self.l1_hits += 1,
+            TlbHitLevel::L2 => self.l2_hits += 1,
+            TlbHitLevel::Walk => self.walks += 1,
+        }
+    }
+
     /// Total translations attempted (excluding faults).
     pub fn total(&self) -> u64 {
         self.l1_hits + self.l2_hits + self.walks
@@ -157,62 +182,6 @@ impl lru::SetIndexKey for TlbKey {
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
     first_pfn: u64,
-}
-
-/// Sentinel key marking an unknown guard slot. Real page numbers cannot
-/// reach it: a 4 KiB VPN is a `u64` shifted right by 12.
-const GUARD_EMPTY: u64 = u64::MAX;
-
-/// Reusable scratch for [`DataTlb::translate_batched`]: one MRU guard
-/// slot per L1 set of each granularity.
-///
-/// A slot holding `(page, first_pfn)` asserts that `page`'s entry is the
-/// most-recently-used way of that L1 set. Under that condition, repeating
-/// the full [`DataTlb::translate_with`] lookup would merely refresh an
-/// already-maximal timestamp — no replacement decision anywhere can
-/// change (eviction compares timestamps only *within* a set, and the
-/// shared clock stays strictly increasing) — so the outcome can be
-/// rebuilt from the cached `first_pfn` and only the L1-hit statistic
-/// needs counting. This generalizes [`DataTlb::translate_repeat`]'s
-/// consecutive-run argument to *every* page whose entry is still set-MRU,
-/// which is what makes per-block batching effective on interleaved
-/// streams: each unique VPN is resolved through the full structures once
-/// and then served from its guard until another page displaces it from
-/// MRU position in the same set.
-///
-/// The scratch is invalidated by anything that mutates TLB contents
-/// outside [`DataTlb::translate_batched`] (e.g. [`DataTlb::flush`]) —
-/// create a fresh one per replay.
-#[derive(Debug, Clone)]
-pub struct TlbBatch {
-    /// `(vpn, first_pfn)` per `l1_base` set.
-    base_guard: Box<[(u64, u64)]>,
-    /// `(huge_page, first_pfn)` per `l1_huge` set.
-    huge_guard: Box<[(u64, u64)]>,
-}
-
-impl TlbBatch {
-    /// Create guard tables sized for `tlb`'s L1 geometry, all-unknown.
-    pub fn for_tlb(tlb: &DataTlb) -> Self {
-        let base_sets = tlb.config.l1_base_entries / tlb.config.l1_ways;
-        let huge_sets = tlb.config.l1_huge_entries / tlb.config.l1_ways;
-        Self {
-            base_guard: vec![(GUARD_EMPTY, 0); base_sets].into_boxed_slice(),
-            huge_guard: vec![(GUARD_EMPTY, 0); huge_sets].into_boxed_slice(),
-        }
-    }
-
-    /// The guard slot for a page-number key, mirroring
-    /// [`lru::LruSetAssoc`]'s hash→set mapping exactly (that mapping is
-    /// simulated behaviour; the guards must agree with it or they would
-    /// describe the wrong set).
-    #[inline]
-    fn slot_of(key: u64, sets: usize) -> usize {
-        let h = lru::siphash13_u64(key);
-        let sets = sets as u64;
-        let set = if sets.is_power_of_two() { h & (sets - 1) } else { h % sets };
-        set as usize
-    }
 }
 
 /// The two-level data TLB.
@@ -283,6 +252,23 @@ impl DataTlb {
         va: VirtAddr,
         walk: impl FnOnce(VirtAddr) -> Option<Translation>,
     ) -> Result<TlbOutcome, PageFault> {
+        let out = self.probe(va, walk);
+        match &out {
+            Ok(outcome) => self.stats.count(outcome.level),
+            Err(_) => self.stats.faults += 1,
+        }
+        out
+    }
+
+    /// The lookup-and-fill behind [`DataTlb::translate_with`], counting
+    /// nothing: [`TranslationStream::build`] probes through it and the
+    /// replay kernel counts the decoded outcomes instead.
+    #[inline]
+    fn probe(
+        &mut self,
+        va: VirtAddr,
+        walk: impl FnOnce(VirtAddr) -> Option<Translation>,
+    ) -> Result<TlbOutcome, PageFault> {
         let vpn = VirtPageNum::containing(va);
         let huge_page = vpn.raw() / PAGES_PER_HUGE_PAGE;
 
@@ -291,7 +277,6 @@ impl DataTlb {
         // one flat-slab key scan and a handful of shifts — no heap traffic.
         if let Some(entry) = self.l1_base.get(&vpn.raw()).copied() {
             let translation = Self::materialize(va, vpn, entry.first_pfn, PageSize::Base4K);
-            self.stats.l1_hits += 1;
             return Ok(TlbOutcome {
                 translation,
                 level: TlbHitLevel::L1,
@@ -300,123 +285,19 @@ impl DataTlb {
         }
         if let Some(entry) = self.l1_huge.get(&huge_page).copied() {
             let translation = Self::materialize(va, vpn, entry.first_pfn, PageSize::Huge2M);
-            self.stats.l1_hits += 1;
             return Ok(TlbOutcome {
                 translation,
                 level: TlbHitLevel::L1,
                 cycles: self.config.l1_latency,
             });
         }
-        self.translate_slow(va, vpn, huge_page, walk)
+        self.probe_slow(va, vpn, huge_page, walk)
     }
 
-    /// Repeat-translation fast path for VPN-run coalescing: translate
-    /// `va` given that the *immediately preceding* translation through
-    /// this TLB covered the same 4 KiB virtual page and produced `prev`.
-    ///
-    /// Bit-identical to calling [`DataTlb::translate_with`] again. The
-    /// preceding translation left the page's entry as the most-recently-
-    /// used way of its L1 set (a hit refreshes it, a fill inserts it), so
-    /// an immediate repeat is always an L1 hit at `l1_latency` resolving
-    /// to the same PFN. Skipping the probe also changes no replacement
-    /// decision: the shared LRU clock stays strictly increasing and
-    /// eviction compares timestamps only *within* a set, where the entry
-    /// is already maximal — relative orders everywhere are untouched.
-    /// Only the L1-hit statistic needs counting by hand.
-    #[inline]
-    pub fn translate_repeat(&mut self, prev: &TlbOutcome, va: VirtAddr) -> TlbOutcome {
-        self.stats.l1_hits += 1;
-        let pfn = prev.translation.pfn;
-        TlbOutcome {
-            translation: Translation {
-                pa: sipt_mem::PhysAddr::new((pfn.raw() << sipt_mem::PAGE_SHIFT) | va.page_offset()),
-                pfn,
-                page_size: prev.translation.page_size,
-            },
-            level: TlbHitLevel::L1,
-            cycles: self.config.l1_latency,
-        }
-    }
-
-    /// Like [`DataTlb::translate_with`], accelerated by the per-set MRU
-    /// guards in `batch`. Bit-identical to the plain path — outcomes,
-    /// statistics, and every future replacement decision — see
-    /// [`TlbBatch`] for the argument; `batched_translation_is_bit_identical`
-    /// pins it differentially.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PageFault`] when `walk` yields no translation; the fault
-    /// is also counted in [`TlbStats::faults`].
-    #[inline]
-    pub fn translate_batched(
-        &mut self,
-        batch: &mut TlbBatch,
-        va: VirtAddr,
-        walk: impl FnOnce(VirtAddr) -> Option<Translation>,
-    ) -> Result<TlbOutcome, PageFault> {
-        let vpn = VirtPageNum::containing(va);
-        let vraw = vpn.raw();
-        let base_slot = TlbBatch::slot_of(vraw, batch.base_guard.len());
-        let (guard_vpn, guard_pfn) = batch.base_guard[base_slot];
-        if guard_vpn == vraw {
-            // The page's 4 KiB entry is set-MRU: the reference path would
-            // hit l1_base and refresh an already-maximal timestamp.
-            self.stats.l1_hits += 1;
-            return Ok(TlbOutcome {
-                translation: Self::materialize(va, vpn, guard_pfn, PageSize::Base4K),
-                level: TlbHitLevel::L1,
-                cycles: self.config.l1_latency,
-            });
-        }
-        let huge_page = vraw / PAGES_PER_HUGE_PAGE;
-        let huge_slot = TlbBatch::slot_of(huge_page, batch.huge_guard.len());
-        let (guard_huge, guard_pfn) = batch.huge_guard[huge_slot];
-        if guard_huge == huge_page {
-            // The reference path probes l1_base *first*. A consistent page
-            // table cannot map a 4 KiB page inside a huge-mapped region,
-            // but replicate the probe order defensively so equivalence
-            // never rests on that assumption. (A miss only advances the
-            // clock, which is unobservable; see `translate_repeat`.)
-            if let Some(entry) = self.l1_base.get(&vraw).copied() {
-                batch.base_guard[base_slot] = (vraw, entry.first_pfn);
-                self.stats.l1_hits += 1;
-                return Ok(TlbOutcome {
-                    translation: Self::materialize(va, vpn, entry.first_pfn, PageSize::Base4K),
-                    level: TlbHitLevel::L1,
-                    cycles: self.config.l1_latency,
-                });
-            }
-            self.stats.l1_hits += 1;
-            return Ok(TlbOutcome {
-                translation: Self::materialize(va, vpn, guard_pfn, PageSize::Huge2M),
-                level: TlbHitLevel::L1,
-                cycles: self.config.l1_latency,
-            });
-        }
-        // Guard miss: full reference lookup, then install the guard of the
-        // resolved granularity — whichever path satisfied it (L1 hit, L2
-        // refill, walk), the entry is now MRU of exactly one L1 set, and
-        // that set's previous guard occupant (if any) was displaced from
-        // MRU by the same operation. The other granularity's structures
-        // saw at most probe misses, which mutate nothing.
-        let out = self.translate_with(va, walk)?;
-        match out.translation.page_size {
-            PageSize::Base4K => {
-                batch.base_guard[base_slot] = (vraw, out.translation.pfn.raw());
-            }
-            PageSize::Huge2M => {
-                let first_pfn = out.translation.pfn.raw() - (vraw % PAGES_PER_HUGE_PAGE);
-                batch.huge_guard[huge_slot] = (huge_page, first_pfn);
-            }
-        }
-        Ok(out)
-    }
-
-    /// The L1-miss continuation of [`DataTlb::translate_with`], kept out of
-    /// line so the L1-hit fast path stays small enough to inline.
+    /// The L1-miss continuation of [`DataTlb::probe`], kept out of line so
+    /// the L1-hit fast path stays small enough to inline.
     #[cold]
-    fn translate_slow(
+    fn probe_slow(
         &mut self,
         va: VirtAddr,
         vpn: VirtPageNum,
@@ -431,23 +312,16 @@ impl DataTlb {
             if let Some(entry) = self.l2.get(&key).copied() {
                 let translation = Self::materialize(va, vpn, entry.first_pfn, key.size);
                 self.fill_l1(key.page, entry, key.size);
-                self.stats.l2_hits += 1;
                 return Ok(TlbOutcome {
                     translation,
                     level: TlbHitLevel::L2,
-                    cycles: self.config.l1_latency + self.config.l2_latency,
+                    cycles: self.config.latency(TlbHitLevel::L2),
                 });
             }
         }
 
         // Page walk.
-        let translation = match walk(va) {
-            Some(t) => t,
-            None => {
-                self.stats.faults += 1;
-                return Err(PageFault { va });
-            }
-        };
+        let translation = walk(va).ok_or(PageFault { va })?;
         let (native_page, first_pfn) = match translation.page_size {
             PageSize::Base4K => (vpn.raw(), translation.pfn.raw()),
             PageSize::Huge2M => {
@@ -457,11 +331,10 @@ impl DataTlb {
         let entry = TlbEntry { first_pfn };
         self.l2.insert(TlbKey { page: native_page, size: translation.page_size }, entry);
         self.fill_l1(native_page, entry, translation.page_size);
-        self.stats.walks += 1;
         Ok(TlbOutcome {
             translation,
             level: TlbHitLevel::Walk,
-            cycles: self.config.l1_latency + self.config.l2_latency + self.config.walk_latency,
+            cycles: self.config.latency(TlbHitLevel::Walk),
         })
     }
 
@@ -500,6 +373,16 @@ impl DataTlb {
     /// Statistics snapshot.
     pub fn stats(&self) -> TlbStats {
         self.stats
+    }
+
+    /// Add `stats` to this TLB's counters: the replay kernel translates
+    /// from a [`TranslationStream`] and records the decoded outcomes here,
+    /// so [`DataTlb::reset_stats`] still splits warmup from measurement.
+    pub fn record(&mut self, stats: TlbStats) {
+        self.stats.l1_hits += stats.l1_hits;
+        self.stats.l2_hits += stats.l2_hits;
+        self.stats.walks += stats.walks;
+        self.stats.faults += stats.faults;
     }
 
     /// Reset statistics (contents are kept — used after cache warmup).
@@ -642,9 +525,9 @@ mod tests {
     #[test]
     fn repeat_fast_path_matches_full_translation() {
         // Streams with page runs (several consecutive accesses to one 4 KiB
-        // page) are what the block kernel coalesces; the repeat path must
-        // be indistinguishable from re-translating, both immediately and
-        // in every later replacement decision.
+        // page) are what the translation stream stores one word for; the
+        // decoded repeats must be indistinguishable from re-translating,
+        // both immediately and in every later replacement decision.
         let mut pt = table_with_pages(256);
         // A few huge mappings beyond the 4 KiB region, so both L1
         // granularities see repeats.
@@ -667,107 +550,43 @@ mod tests {
                 VirtAddr::new((i + 1) * sipt_mem::HUGE_PAGE_SIZE + (sub << PAGE_SHIFT) + off)
             }
         };
+        // Page runs of length 4, scrambled over 4 KiB and huge pages.
+        let vas: Vec<u64> = (0..6_000u64)
+            .map(|step| va_of((step / 4).wrapping_mul(2654435761) % 260, (step % 4) * 0x88).raw())
+            .collect();
         let mut full = DataTlb::new(TlbConfig::default());
-        let mut fast = DataTlb::new(TlbConfig::default());
-        let mut prev: Option<(u64, TlbOutcome)> = None;
-        for step in 0..6_000u64 {
-            // Page runs of length 4, scrambled over 4 KiB and huge pages.
-            let run = step / 4;
-            let page = (run.wrapping_mul(2654435761)) % 260;
-            let va = va_of(page, (step % 4) * 0x88);
-            let vpn = VirtPageNum::containing(va).raw();
-            let a = full.translate(va, &pt).unwrap();
-            let b = match prev {
-                Some((prev_vpn, ref out)) if prev_vpn == vpn => fast.translate_repeat(out, va),
-                _ => fast.translate(va, &pt).unwrap(),
-            };
-            assert_eq!(a, b, "step {step}");
-            prev = Some((vpn, b));
+        let mut built = DataTlb::new(TlbConfig::default());
+        let stream = TranslationStream::build(&mut built, &vas, |va| pt.translate(va)).unwrap();
+        assert_eq!(built.stats(), TlbStats::default(), "the builder counts nothing");
+        let mut cursor = stream.cursor();
+        for (step, &raw) in vas.iter().enumerate() {
+            let va = VirtAddr::new(raw);
+            assert_eq!(full.translate(va, &pt).unwrap(), cursor.translate(va), "step {step}");
         }
-        assert_eq!(full.stats(), fast.stats());
+        assert!(cursor.is_exhausted());
+        assert_eq!(full.stats(), cursor.take_stats());
         // Contents must have evolved identically: sweep every page once
         // and require the same hit level from both TLBs.
         for page in 0..260u64 {
             let va = va_of(page, 0);
             let a = full.translate(va, &pt).unwrap();
-            let b = fast.translate(va, &pt).unwrap();
+            let b = built.translate(va, &pt).unwrap();
             assert_eq!(a, b, "post-sweep page {page}");
         }
     }
 
     #[test]
-    fn batched_translation_is_bit_identical() {
-        // The per-set MRU guards must be indistinguishable from the plain
-        // path: same outcomes, same statistics, same contents evolution —
-        // under an access mix with page runs, interleaved revisits across
-        // many sets, capacity evictions (260 pages > 64 base entries), and
-        // both granularities. The batched TLB also interleaves the
-        // consecutive-run `translate_repeat` shortcut exactly as the block
-        // kernel does.
-        let mut pt = table_with_pages(256);
-        for i in 0..4u64 {
-            pt.map(
-                VirtPageNum::new((i + 1) * PAGES_PER_HUGE_PAGE),
-                PhysFrameNum::new(4096 + i * PAGES_PER_HUGE_PAGE),
-                PageSize::Huge2M,
-            )
-            .unwrap();
-        }
-        let va_of = |page: u64, off: u64| -> VirtAddr {
-            if page < 256 {
-                VirtAddr::new((page << PAGE_SHIFT) | off)
-            } else {
-                let i = page - 256;
-                let sub = (page * 37) % PAGES_PER_HUGE_PAGE;
-                VirtAddr::new((i + 1) * sipt_mem::HUGE_PAGE_SIZE + (sub << PAGE_SHIFT) + off)
-            }
-        };
-        let mut plain = DataTlb::new(TlbConfig::default());
-        let mut batched = DataTlb::new(TlbConfig::default());
-        let mut batch = TlbBatch::for_tlb(&batched);
-        let mut prev: Option<(u64, TlbOutcome)> = None;
-        for step in 0..12_000u64 {
-            // Page runs of length 3, with run targets scrambled so the
-            // same pages recur at varying distances (guard hits, guard
-            // displacements, and full-path refills all occur).
-            let run = step / 3;
-            let page = (run.wrapping_mul(2654435761) >> 7) % 260;
-            let va = va_of(page, (step % 3) * 0xa8);
-            let vpn = VirtPageNum::containing(va).raw();
-            let a = plain.translate(va, &pt).unwrap();
-            let b = match prev {
-                Some((prev_vpn, ref out)) if prev_vpn == vpn => batched.translate_repeat(out, va),
-                _ => batched.translate_batched(&mut batch, va, |va| pt.translate(va)).unwrap(),
-            };
-            assert_eq!(a, b, "step {step} page {page}");
-            prev = Some((vpn, b));
-        }
-        assert_eq!(plain.stats(), batched.stats());
-        // Contents must have evolved identically: sweep every page once
-        // through the *plain* path on both and require identical levels.
-        for page in 0..260u64 {
-            let va = va_of(page, 0);
-            let a = plain.translate(va, &pt).unwrap();
-            let b = batched.translate(va, &pt).unwrap();
-            assert_eq!(a, b, "post-sweep page {page}");
-        }
-        assert_eq!(plain.stats(), batched.stats());
-    }
-
-    #[test]
-    fn batched_translation_surfaces_faults() {
+    fn stream_build_surfaces_faults() {
         let pt = table_with_pages(1);
         let mut tlb = DataTlb::new(TlbConfig::default());
-        let mut batch = TlbBatch::for_tlb(&tlb);
-        let err = tlb
-            .translate_batched(&mut batch, VirtAddr::new(0xdead_0000), |va| pt.translate(va))
-            .unwrap_err();
+        let err =
+            TranslationStream::build(&mut tlb, &[0x10, 0xdead_0000, 0x20], |va| pt.translate(va))
+                .unwrap_err();
         assert_eq!(err.va.raw(), 0xdead_0000);
-        assert_eq!(tlb.stats().faults, 1);
-        // A fault mutates no contents, so the guards stay valid: the
-        // mapped page still translates identically afterwards.
-        let ok = tlb.translate_batched(&mut batch, VirtAddr::new(0x10), |va| pt.translate(va));
-        assert_eq!(ok.unwrap().level, TlbHitLevel::Walk);
+        assert_eq!(tlb.stats(), TlbStats::default(), "the builder counts nothing");
+        // A fault mutates no contents: the mapped page is still resident.
+        let ok = tlb.translate(VirtAddr::new(0x10), &pt);
+        assert_eq!(ok.unwrap().level, TlbHitLevel::L1);
     }
 
     #[test]

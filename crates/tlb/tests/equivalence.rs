@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sipt_mem::{PageSize, PageTable, PhysFrameNum, VirtAddr, VirtPageNum, PAGES_PER_HUGE_PAGE};
-use sipt_tlb::{DataTlb, TlbConfig};
+use sipt_tlb::{DataTlb, TlbConfig, TranslationStream};
 
 /// Build a page table with `base_pages` 4 KiB mappings and `huge_pages`
 /// 2 MiB mappings at disjoint ranges.
@@ -48,6 +48,77 @@ proptest! {
         let walk = tlb.translate(va, &pt).unwrap();
         let hit = tlb.translate(va, &pt).unwrap();
         prop_assert!(hit.cycles < walk.cycles);
+    }
+}
+
+/// 4 KiB pages of the stream property's table: twice the L2 TLB's
+/// capacity, so random picks conflict in L1 and L2 sets alike.
+const STREAM_BASE_PAGES: u64 = 2048;
+/// 2 MiB mappings of the stream property's table.
+const STREAM_HUGE_PAGES: u64 = 16;
+
+/// One page run of the stream property: `len` references to the page
+/// that `kind` and `page` pick, at offsets stepping from `offset`.
+fn page_run(kind: u8, page: u64, offset: u64, len: u64) -> impl Iterator<Item = u64> {
+    let base = match kind {
+        // A hot set that fits the L1 TLB.
+        0 => (page % 12) << 12,
+        // 80 pages: more than the 64-entry L1, well within the L2.
+        1 => (page % 80) << 12,
+        // Any 4 KiB page: L1 and L2 set conflicts and capacity misses.
+        2 => (page % STREAM_BASE_PAGES) << 12,
+        // A 4 KiB page inside a huge mapping: huge-page repeats across
+        // different 4 KiB pages of one 2 MiB page.
+        _ => {
+            let huge = (1u64 << 20) + (page % STREAM_HUGE_PAGES) * PAGES_PER_HUGE_PAGE;
+            (huge + (page / STREAM_HUGE_PAGES) % PAGES_PER_HUGE_PAGE) << 12
+        }
+    };
+    (0..len).map(move |k| base | ((offset + k * 72) % 4096))
+}
+
+proptest! {
+    /// Decoding a page-change translation stream gives, per access,
+    /// exactly `translate_with`'s outcome on a reference TLB, and the
+    /// same final statistics; an unmapped address faults at the same
+    /// access.
+    #[test]
+    fn translation_stream_decodes_to_reference_outcomes(
+        runs in proptest::collection::vec((0u8..4, 0u64..100_000, 0u64..4096, 1u64..5), 1..400),
+        unmapped_at in proptest::option::of(0usize..800)
+    ) {
+        let pt = build_table(STREAM_BASE_PAGES, STREAM_HUGE_PAGES);
+        let mut vas: Vec<u64> =
+            runs.iter().flat_map(|&(kind, page, offset, len)| page_run(kind, page, offset, len)).collect();
+        if let Some(at) = unmapped_at.filter(|&at| at <= vas.len()) {
+            vas.insert(at, 0xdead_0000_0000 + 0x48);
+        }
+
+        let mut reference = DataTlb::new(TlbConfig::default());
+        let expected: Vec<_> = vas
+            .iter()
+            .map(|&raw| reference.translate_with(VirtAddr::new(raw), |va| pt.translate(va)))
+            .collect();
+        let mut built = DataTlb::new(TlbConfig::default());
+        match (TranslationStream::build(&mut built, &vas, |va| pt.translate(va)), expected.iter().position(Result::is_err)) {
+            (Err(fault), Some(i)) => prop_assert_eq!(fault.va.raw(), vas[i]),
+            (Ok(stream), None) => {
+                let mut cursor = stream.cursor();
+                for (i, (&raw, expected)) in vas.iter().zip(&expected).enumerate() {
+                    prop_assert_eq!(Ok(cursor.translate(VirtAddr::new(raw))), *expected, "access {}", i);
+                }
+                prop_assert!(cursor.is_exhausted());
+                prop_assert_eq!(cursor.take_stats(), reference.stats());
+                // Contents evolved identically: translate every address again.
+                for &raw in &vas {
+                    let va = VirtAddr::new(raw);
+                    prop_assert_eq!(built.translate(va, &pt), reference.translate(va, &pt));
+                }
+            }
+            (built, fault_at) => {
+                prop_assert!(false, "stream build {:?} but reference fault at {:?}", built.err(), fault_at);
+            }
+        }
     }
 }
 

@@ -89,6 +89,11 @@ impl MaterializedTrace {
         self.mem_vas.len()
     }
 
+    /// Virtual addresses of the memory references, in stream order.
+    pub fn mem_vas(&self) -> &[u64] {
+        &self.mem_vas
+    }
+
     /// Resident bytes of the encoding (for cache accounting).
     pub fn bytes(&self) -> usize {
         self.pcs.len() * std::mem::size_of::<u64>()
@@ -121,8 +126,7 @@ pub struct TraceCursor<'a> {
 /// `pcs` and `meta` are parallel (one entry per instruction); `mem_vas`
 /// holds the block's memory references in stream order, one per `meta`
 /// word with the mem bit set. Block-replay kernels decode `meta` with
-/// `sipt_cpu::unpack_meta_fields` and batch-translate `mem_vas` without
-/// materializing `Inst` values.
+/// `sipt_cpu::unpack_meta_fields` without materializing `Inst` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstBlock<'a> {
     /// Program counter of each instruction in the block.

@@ -17,8 +17,8 @@
 use sipt_core::{sipt_32k_2w, BypassKind, L1Policy};
 use sipt_sim::experiments::{ideal, report, smoke_benchmarks};
 use sipt_sim::{
-    prep_cache, run_mix, set_jobs, set_predictor_stage, set_replay_batch, set_tlb_batch, Condition,
-    RunMetrics, Sweep, SystemKind, DEFAULT_REPLAY_BATCH,
+    prep_cache, run_mix, set_jobs, set_predictor_stage, set_replay_batch, Condition, RunMetrics,
+    Sweep, SystemKind, DEFAULT_REPLAY_BATCH,
 };
 use sipt_telemetry::json::Json;
 use std::sync::{Mutex, PoisonError};
@@ -45,7 +45,6 @@ fn with_exclusive_state<R>(f: impl FnOnce() -> R) -> R {
     prep_cache::set_enabled(true);
     set_jobs(1);
     set_replay_batch(DEFAULT_REPLAY_BATCH);
-    set_tlb_batch(true);
     set_predictor_stage(false);
     out
 }
@@ -147,26 +146,6 @@ fn fig02_fingerprint_is_batch_size_independent() {
                     "fig02 payload drifted at replay batch {batch}, jobs {jobs}"
                 );
             }
-        }
-    });
-}
-
-/// Guarded TLB batching (`SIPT_TLB_BATCH` / `--no-tlb-batch`) reorders
-/// *when* the set-associative TLB is probed, never what it answers: with
-/// batching disabled, every batch size must still reproduce the golden
-/// fingerprint — the same bytes the batched path produces.
-#[test]
-fn fig02_fingerprint_is_tlb_batching_independent() {
-    with_exclusive_state(|| {
-        set_tlb_batch(false);
-        for batch in [1, 7, 256] {
-            set_replay_batch(batch);
-            set_jobs(1);
-            let got = fnv1a(fig02_payload().as_bytes());
-            assert_eq!(
-                got, FIG02_GOLDEN_FNV1A,
-                "fig02 payload drifted with TLB batching disabled at replay batch {batch}"
-            );
         }
     });
 }
